@@ -102,8 +102,9 @@ property the equivalence suite pins across every registered scenario — and
 worth ~4-18x wall-clock on decode-heavy traffic (see the ``Performance``
 section of README.md and the ``BENCH_serving.json`` / ``BENCH_fleet.json``
 artifacts the benchmarks emit).  Iteration pricing is additionally memoized
-on the exact batch composition, and latency percentiles are served from a
-single-sort :class:`~repro.serving.metrics.PercentileSummary`.
+on the exact batch composition, and latency percentiles sort each sample
+once per run in the metrics fold
+(:class:`~repro.serving.metrics.StreamingMetrics`).
 
 Shared-prefix KV caching
 ------------------------

@@ -920,8 +920,8 @@ def build_parser() -> argparse.ArgumentParser:
     retain_group.add_argument(
         "--no-retain-records",
         action="store_true",
-        help="fold finished requests into a bounded streaming accumulator "
-        "and drop per-request state (colocated only)",
+        help="drop per-request records after the metrics fold and use "
+        "bounded-memory P2 percentiles (colocated only)",
     )
     serve.add_argument("--list", action="store_true", help="list available scenarios")
     serve.set_defaults(handler=_cmd_serve)

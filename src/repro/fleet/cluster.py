@@ -45,16 +45,8 @@ from ..obs import events as obs_events
 from ..obs.events import EventRecorder
 from ..schedules.base import Pass
 from ..serving.batcher import BatcherConfig, IterationPlan, RequestState
-from ..serving.engine import ServingConfig, _Pool
-from ..serving.metrics import (
-    SLO,
-    RequestRecord,
-    ServingMetrics,
-    StreamingMetrics,
-    TenantMetrics,
-    compute_metrics,
-    compute_tenant_metrics,
-)
+from ..serving.engine import ServingConfig, _metrics_fold, _Pool
+from ..serving.metrics import SLO, RequestRecord, ServingMetrics, StreamingMetrics, TenantMetrics
 from ..serving.prefix_cache import prefix_block_keys
 from ..serving.tenancy import TenancyConfig
 from ..serving.workload import Request
@@ -106,12 +98,13 @@ class FleetConfig:
     #: and the arrival-rate autoscaler credits the effective-capacity gain.
     prefix_caching: bool = False
     #: Keep every :class:`RequestRecord` in the result (the default,
-    #: byte-identical path).  ``False`` streams: arrivals are pulled lazily
-    #: from the trace iterable (one in flight on the heap at a time),
-    #: finished requests fold into a bounded-memory
-    #: :class:`~repro.serving.metrics.StreamingMetrics` accumulator and are
-    #: dropped, so a million-request fleet run holds O(replicas + batch)
-    #: state.  Incompatible with ``collect_timeline=True``.
+    #: byte-identical path).  Finished requests always fold into one
+    #: :class:`~repro.serving.metrics.StreamingMetrics`; ``False`` also pulls
+    #: arrivals lazily from the trace iterable (one in flight on the heap at
+    #: a time), drops every record after its fold and switches the fold to
+    #: P² quantile sketches, so a million-request fleet run holds
+    #: O(replicas + batch) state.  Incompatible with
+    #: ``collect_timeline=True``.
     retain_records: bool = True
     #: Opt-in observability: an :class:`~repro.obs.events.EventRecorder`
     #: threaded into every replica pool and the cluster loop itself.  ``None``
@@ -439,11 +432,12 @@ class FleetResult:
     prefix_flops_saved: float = 0.0
     prefill_flops_executed: float = 0.0
     prefix_evictions: int = 0
-    #: ``False`` when the run streamed (``FleetConfig.retain_records=False``):
-    #: ``records`` is empty and metrics came from a bounded accumulator.
+    #: ``False`` when the run kept no records
+    #: (``FleetConfig.retain_records=False``): ``records`` is empty and the
+    #: percentiles are P²-sketched.
     retain_records: bool = True
     #: Per-tenant aggregates, keyed by tenant name (empty when the trace
-    #: carried no tenant tags; filled on both record and streaming paths).
+    #: carried no tenant tags).
     tenant_metrics: Dict[str, TenantMetrics] = field(default_factory=dict)
 
     @property
@@ -703,11 +697,8 @@ class FleetEngine:
             prof.add("commit", prof.clock() - clock_start)
         replica.requests_served += len(departed)
         self._finished += len(departed)
-        if self._streaming is not None:
-            # Bounded-memory fold: the departed records are dropped here —
-            # nothing outside the accumulator ever sees them again.
-            for state in departed:
-                self._streaming.observe(state.record)
+        for state in departed:
+            self._metrics.observe(state.record)
         if replica.draining and not replica.has_work:
             self._retire(replica, now)
         else:
@@ -941,13 +932,8 @@ class FleetEngine:
         self._autoscaler: Autoscaler = make_autoscaler(cfg.autoscaler)
         self._spans: Optional[List[Tuple[int, float, float]]] = [] if collect_timeline else None
         self._obs: Optional[EventRecorder] = cfg.observe
-        self._streaming: Optional[StreamingMetrics] = (
-            StreamingMetrics(
-                slo,
-                tenant_slos=cfg.tenancy.slo_map() if cfg.tenancy is not None else None,
-            )
-            if streaming
-            else None
+        self._metrics: StreamingMetrics = _metrics_fold(
+            slo, cfg.tenancy, cfg.retain_records
         )
         self._arrival_stream: Optional[Iterator[Request]] = None
         self._pushed_arrivals = 0
@@ -975,7 +961,9 @@ class FleetEngine:
             if len(records) != len(trace):
                 raise ValueError("trace carries duplicate request ids")
             self._num_requests = len(trace)
-            for request in sorted(trace, key=lambda r: (r.arrival_time, r.request_id)):
+            ordered = sorted(trace, key=lambda r: (r.arrival_time, r.request_id))
+            self._first_arrival = ordered[0].arrival_time
+            for request in ordered:
                 self._push(request.arrival_time, _ARRIVAL, request)
         for event in self.failure_plan.events:
             self._push(event.time, _FAIL, event)
@@ -994,7 +982,7 @@ class FleetEngine:
                         now, obs_events.ARRIVE, obs_events.CLUSTER_TRACK,
                         payload.request_id,
                     )
-                if self._streaming is not None:
+                if streaming:
                     record = RequestRecord(payload)
                     self._push_next_arrival()
                 else:
@@ -1045,18 +1033,11 @@ class FleetEngine:
                 f"fleet drained its event heap with "
                 f"{self._num_requests - self._finished} requests unfinished"
             )
-        return self._collect(list(records.values()), end_time, slo)
+        return self._collect(list(records.values()), end_time)
 
     # ------------------------------------------------------------------
-    def _collect(
-        self, records: List[RequestRecord], end_time: float, slo: SLO
-    ) -> FleetResult:
-        cfg = self.config
-        if self._streaming is not None:
-            duration = max(end_time - self._first_arrival, 1e-12)
-        else:
-            arrivals = [r.request.arrival_time for r in records]
-            duration = max(end_time - min(arrivals), 1e-12)
+    def _collect(self, records: List[RequestRecord], end_time: float) -> FleetResult:
+        duration = max(end_time - self._first_arrival, 1e-12)
         busy = sum(r.busy_time for r in self._replicas)
         kv_mean = (
             sum(r.kv_weighted for r in self._replicas) / busy if busy > 0 else 0.0
@@ -1077,7 +1058,8 @@ class FleetEngine:
             flops_executed += fe
             prefix_evictions += ev
         required = hit_tokens + prefilled
-        metric_kwargs = dict(
+        metrics = self._metrics.finalize(
+            duration,
             kv_utilization_mean=kv_mean,
             kv_utilization_peak=max((r.kv_peak for r in self._replicas), default=0.0),
             preemptions=preemptions,
@@ -1086,17 +1068,6 @@ class FleetEngine:
             prefix_flops_saved=flops_saved,
             prefix_evictions=prefix_evictions,
         )
-        if self._streaming is not None:
-            metrics = self._streaming.finalize(duration, **metric_kwargs)
-            tenant_metrics = self._streaming.tenant_metrics(duration)
-        else:
-            metrics = compute_metrics(records, duration, slo, **metric_kwargs)
-            tenant_metrics = compute_tenant_metrics(
-                records,
-                duration,
-                slo,
-                tenant_slos=cfg.tenancy.slo_map() if cfg.tenancy is not None else None,
-            )
         hours_by_type: Dict[str, float] = {}
         for replica in self._replicas:
             hours = replica.gpu_seconds(end_time) / 3600.0
@@ -1165,6 +1136,6 @@ class FleetEngine:
             prefix_flops_saved=flops_saved,
             prefill_flops_executed=flops_executed,
             prefix_evictions=prefix_evictions,
-            retain_records=self._streaming is None,
-            tenant_metrics=tenant_metrics,
+            retain_records=self.config.retain_records,
+            tenant_metrics=self._metrics.tenant_metrics(duration),
         )

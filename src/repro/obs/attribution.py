@@ -30,6 +30,7 @@ from .critical_path import (
     SLOW_NODE,
     RequestAttribution,
 )
+from .sketch import interpolate
 
 __all__ = [
     "SPAN_ORDER",
@@ -56,17 +57,10 @@ SPAN_ORDER: Tuple[str, ...] = (
 
 
 def _percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile — same arithmetic as serving metrics."""
+    """Linear-interpolation percentile (``q`` in [0, 100]) of ``values``."""
     if not values:
         raise ValueError("cannot take a percentile of an empty sample")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = q / 100.0 * (len(ordered) - 1)
-    lo = int(rank)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+    return interpolate(sorted(values), q / 100.0)
 
 
 def _metric_value(attr: RequestAttribution, metric: str) -> float:

@@ -30,14 +30,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["P2Quantile", "QuantileSketch"]
+__all__ = ["P2Quantile", "QuantileSketch", "interpolate"]
 
 
-def _interpolate(ordered: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile of a sorted sample (``q`` in [0, 1]).
+def interpolate(ordered: Sequence[float], q: float) -> float:
+    """Linear-interpolation quantile of a sorted, non-empty sample (``q`` in [0, 1]).
 
-    Bit-identical arithmetic to
-    :meth:`repro.serving.metrics.PercentileSummary.at` so that exact and
+    The one interpolation every exact percentile read uses (serving metrics,
+    diagnosis thresholds, the sketch's small-sample regime), so exact and
     sketched small-sample reads agree to the last ulp.
     """
     if len(ordered) == 1:
@@ -138,7 +138,7 @@ class P2Quantile:
         if self.count == 0:
             raise ValueError(f"p{self.q * 100:g} sketch has no samples")
         if self.count <= 5:
-            return _interpolate(self._heights, self.q)
+            return interpolate(self._heights, self.q)
         return self._heights[2]
 
 

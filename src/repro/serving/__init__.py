@@ -34,9 +34,10 @@ Modules
     disaggregated with comm-priced KV hand-off.
 ``metrics``
     TTFT/TPOT/E2E percentiles, goodput under SLO, KV utilization, prefix
-    hit rate and saved prefill FLOPs — record-based (``compute_metrics``)
-    or bounded-memory streaming (``StreamingMetrics``, P² sketches) — plus
-    per-tenant aggregates (``TenantMetrics``) in both paths.
+    hit rate and saved prefill FLOPs, plus per-tenant aggregates
+    (``TenantMetrics``), all from one fold (``StreamingMetrics``) with an
+    exact or a bounded-memory P² quantile backend; ``compute_metrics`` folds
+    a finished record list.
 ``tenancy``
     Multi-tenant QoS: named SLO classes (interactive / batch /
     best-effort), per-tenant weights and token-bucket admission control
@@ -63,7 +64,6 @@ from .metrics import (
     StreamingMetrics,
     TenantMetrics,
     compute_metrics,
-    compute_tenant_metrics,
     percentile,
     tenant_report_text,
 )
@@ -140,7 +140,6 @@ __all__ = [
     "StreamingMetrics",
     "TenantMetrics",
     "compute_metrics",
-    "compute_tenant_metrics",
     "percentile",
     "tenant_report_text",
     "SLOClass",

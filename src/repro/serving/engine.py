@@ -64,15 +64,7 @@ from ..schedules.base import Pass
 from ..sim.timeline import Timeline, TimelineSpan
 from .batcher import BatcherConfig, ContinuousBatcher, IterationPlan, Phase, RequestState
 from .columnar import DecodeColumns
-from .metrics import (
-    SLO,
-    RequestRecord,
-    ServingMetrics,
-    StreamingMetrics,
-    TenantMetrics,
-    compute_metrics,
-    compute_tenant_metrics,
-)
+from .metrics import SLO, RequestRecord, ServingMetrics, StreamingMetrics, TenantMetrics
 from .paged_kv import PagedKVAllocator
 from .tenancy import TenancyConfig
 from .workload import Request
@@ -98,12 +90,12 @@ class ServingConfig:
     #: time reference stepper.
     fast_forward: bool = True
     #: Keep every :class:`RequestRecord` (and the iteration timeline) in the
-    #: result.  ``True`` — the default — is the byte-identical record-based
-    #: path every golden and the obs/diagnosis layer depend on.  ``False``
-    #: streams: arrivals are pulled lazily from the trace iterable, finished
-    #: requests fold into a :class:`~repro.serving.metrics.StreamingMetrics`
-    #: accumulator and are dropped, so memory stays bounded no matter how
-    #: many requests the trace holds (massive-* scenarios).  Requires the
+    #: result.  Either way finished requests fold into one
+    #: :class:`~repro.serving.metrics.StreamingMetrics`; this flag decides
+    #: only whether the records are kept and which quantile backend the fold
+    #: uses — exact sorted samples (``True``, the default every golden and
+    #: the obs/diagnosis layer depend on) or bounded-memory P² sketches
+    #: (``False``, for the massive-* scenarios).  ``False`` requires the
     #: colocated engine; record consumers (``--explain``, attribution,
     #: ``--diff-against``) need ``True``.
     retain_records: bool = True
@@ -161,11 +153,11 @@ class ServingResult:
     prefix_flops_saved: float = 0.0
     prefill_flops_executed: float = 0.0
     prefix_evictions: int = 0
-    #: ``False`` when the run streamed: ``records`` is empty and ``timeline``
-    #: has no spans — metrics came from a bounded-memory accumulator instead.
+    #: ``False`` when the run kept no records: ``records`` is empty,
+    #: ``timeline`` has no spans and the percentiles are P²-sketched.
     retain_records: bool = True
     #: Per-tenant aggregates, keyed by tenant name.  Empty unless the trace
-    #: carried tenant tags (both record-based and streaming paths fill it).
+    #: carried tenant tags.
     tenant_metrics: Dict[str, TenantMetrics] = field(default_factory=dict)
 
     @property
@@ -225,14 +217,13 @@ class _Pool:
         model: ModelConfig,
         num_gpus: int,
         config: ServingConfig,
-        cost_model: Optional[CostModel] = None,
         prefill_only: bool = False,
         decode_only: bool = False,
     ):
         self.model = model
         self.num_gpus = num_gpus
         self.config = config
-        self.costs = cost_model or CostModel(config.gpu)
+        self.costs = CostModel(config.gpu)
         self.total_kv_blocks = self._kv_blocks()
         # A decode-only pool never prefills, so prefix caching has nothing to
         # skip there; the prefill pool of a disaggregated pair gets it.
@@ -266,9 +257,6 @@ class _Pool:
             self.track_name = "decode pool"
         else:
             self.track_name = "pool"
-        # Subclassed cost models may override ``time_of``; only the pristine
-        # CostModel is safe to inline (and hence to fast-forward through).
-        self.exact_pricing = type(self.costs) is CostModel
         gpu = self.costs.gpu
         self._inv_gpus = 1.0 / self.num_gpus
         self._fwd_linear_rate = gpu.peak_flops * gpu.gemm_efficiency_forward
@@ -314,12 +302,6 @@ class _Pool:
     # ------------------------------------------------------------------
     # Iteration pricing
     # ------------------------------------------------------------------
-    def _prefill_flops(self, chunk: int, kv_offset: int, completes: bool) -> FlopsBreakdown:
-        return _prefill_flops_cached(self.model, chunk, kv_offset, completes)
-
-    def _decode_flops(self, context_tokens: int) -> FlopsBreakdown:
-        return _decode_flops_cached(self.model, context_tokens)
-
     def _decode_pair(self, context_tokens: int) -> Tuple[float, float]:
         pair = self._decode_pairs.get(context_tokens)
         if pair is None:
@@ -336,7 +318,6 @@ class _Pool:
         ``1/num_gpus`` and calling :meth:`CostModel.time_of` with the forward
         pass kind — every multiply, divide and add happens in the same order
         on the same values — just without the intermediate value objects.
-        Only valid when ``self.exact_pricing`` (pristine :class:`CostModel`).
         """
         if linear + attention <= 0:
             return self.config.iteration_overhead
@@ -367,8 +348,6 @@ class _Pool:
         return self._pair_time(linear, attention, len(contexts))
 
     def iteration_time(self, plan: IterationPlan) -> float:
-        if not self.exact_pricing:
-            return self._iteration_time_reference(plan)
         # Memoize on the exact batch composition: the FLOPs fold depends only
         # on the ordered prefill (chunk, offset, completes) triples and the
         # ordered decode context lengths, and the roll-off on batch_tokens,
@@ -404,22 +383,6 @@ class _Pool:
             self._duration_cache[key] = duration
         return duration
 
-    def _iteration_time_reference(self, plan: IterationPlan) -> float:
-        """The original object-folding pricing (kept for cost-model subclasses)."""
-        flops = FlopsBreakdown()
-        for state, chunk in plan.prefill:
-            completes = state.prefilled + chunk >= state.prefill_target
-            flops = flops + self._prefill_flops(chunk, state.prefilled, completes)
-        for state in plan.decode:
-            flops = flops + self._decode_flops(state.context_tokens)
-        if flops.total <= 0:
-            return self.config.iteration_overhead
-        flops = flops * (1.0 / self.num_gpus)
-        return (
-            self.costs.time_of(flops, PassKind.FORWARD, tokens=plan.batch_tokens)
-            + self.config.iteration_overhead
-        )
-
     def prefill_budget(self) -> Optional[int]:
         """SLO-aware prefill budget for the next iteration.
 
@@ -445,40 +408,23 @@ class _Pool:
         )
         num_decodes = len(decodes)
 
-        if self.exact_pricing:
-            # Same fold, same arithmetic as the reference branch below, on
-            # cached component pairs (this estimator runs on every iteration
-            # with a running decode, so it is as hot as the pricing itself).
-            base_linear = 0.0
-            base_attention = 0.0
-            for state in decodes:
-                pair = self._decode_pair(state.context_tokens)
-                base_linear += pair[0]
-                base_attention += pair[1]
-            num_layers = self.model.num_layers
+        # Cached component pairs (this estimator runs on every iteration with
+        # a running decode, so it is as hot as the pricing itself).
+        base_linear = 0.0
+        base_attention = 0.0
+        for state in decodes:
+            pair = self._decode_pair(state.context_tokens)
+            base_linear += pair[0]
+            base_attention += pair[1]
+        num_layers = self.model.num_layers
 
-            def estimate(prefill_tokens: int) -> float:
-                chunk = layer_forward_flops(self.model, prefill_tokens, kv_offset)
-                return self._pair_time(
-                    base_linear + chunk.linear * num_layers,
-                    base_attention + chunk.attention * num_layers,
-                    prefill_tokens + num_decodes,
-                )
-
-        else:
-            base = FlopsBreakdown()
-            for state in decodes:
-                base = base + self._decode_flops(state.context_tokens)
-
-            def estimate(prefill_tokens: int) -> float:
-                flops = base + layer_forward_flops(self.model, prefill_tokens, kv_offset) * self.model.num_layers
-                flops = flops * (1.0 / self.num_gpus)
-                return (
-                    self.costs.time_of(
-                        flops, PassKind.FORWARD, tokens=prefill_tokens + num_decodes
-                    )
-                    + self.config.iteration_overhead
-                )
+        def estimate(prefill_tokens: int) -> float:
+            chunk = layer_forward_flops(self.model, prefill_tokens, kv_offset)
+            return self._pair_time(
+                base_linear + chunk.linear * num_layers,
+                base_attention + chunk.attention * num_layers,
+                prefill_tokens + num_decodes,
+            )
 
         floor = self.config.batcher.min_prefill_chunk_tokens
         ceiling = self.config.batcher.max_batch_tokens
@@ -502,8 +448,8 @@ class _Pool:
         """Iterations the current batch can decode without a structural event.
 
         Zero when the batch is not a stable pure-decode set (work waiting,
-        prefill in flight, empty pool, batch over the token budget, or the
-        pricing cannot be inlined).  Otherwise the bound is the tightest of
+        prefill in flight, empty pool, or batch over the token budget).
+        Otherwise the bound is the tightest of
 
         * the first request to finish (its final iteration runs naively so
           departure bookkeeping stays on the reference path), and
@@ -513,7 +459,7 @@ class _Pool:
         Arrivals are the caller's bound: the stretch executor stops as soon
         as simulated time reaches the next arrival.
         """
-        if not (self.config.fast_forward and self.exact_pricing):
+        if not self.config.fast_forward:
             return 0
         batcher = self.batcher
         if batcher.waiting:
@@ -601,7 +547,7 @@ class _Pool:
         states: Union[Sequence[RequestState], Iterator[RequestState]],
         timeline: Optional[Timeline] = None,
         device: int = 0,
-        on_depart: Optional[Callable[[RequestState], None]] = None,
+        on_depart: Optional[Callable[[RequestRecord], None]] = None,
     ) -> _PoolRun:
         if isinstance(states, Sequence):
             stream: Iterator[RequestState] = iter(
@@ -766,10 +712,10 @@ class _Pool:
             if on_depart is None:
                 departed.extend(finished)
             else:
-                # Streaming consumer: fold the finished request in and drop
-                # it — the pool retains no per-request state past departure.
+                # Metrics consumer: fold the finished request in; the pool
+                # retains no per-request state past departure.
                 for state in finished:
-                    on_depart(state)
+                    on_depart(state.record)
             if prof is not None:
                 prof.add("commit", prof.clock() - clock_start)
             if obs is not None:
@@ -812,41 +758,98 @@ class _Pool:
         )
 
 
+def _arrival_key(request: Request) -> Tuple[float, int]:
+    return (request.arrival_time, request.request_id)
+
+
 def _make_states(trace: Sequence[Request]) -> List[RequestState]:
     return [RequestState(record=RequestRecord(request)) for request in trace]
+
+
+def _metrics_fold(
+    slo: SLO, tenancy: Optional[TenancyConfig], retain_records: bool
+) -> StreamingMetrics:
+    """A run's metrics fold: exact quantiles exactly when records are kept."""
+    return StreamingMetrics(
+        slo,
+        tenant_slos=tenancy.slo_map() if tenancy is not None else None,
+        exact=retain_records,
+    )
 
 
 class ServingEngine:
     """Colocated continuous-batching deployment (prefill + decode, one pool)."""
 
-    def __init__(
-        self,
-        model: ModelConfig,
-        config: Optional[ServingConfig] = None,
-        cost_model: Optional[CostModel] = None,
-    ):
+    def __init__(self, model: ModelConfig, config: Optional[ServingConfig] = None):
         self.model = model
         self.config = config or ServingConfig()
-        self.pool = _Pool(model, self.config.num_gpus, self.config, cost_model)
+        self.pool = _Pool(model, self.config.num_gpus, self.config)
 
     def run(self, trace: Iterable[Request], slo: Optional[SLO] = None) -> ServingResult:
+        """Serve ``trace``, folding every departure into one metrics fold.
+
+        A ``Sequence`` trace is served in ``(arrival_time, request_id)``
+        order and its records come back in trace order.  Any other iterable
+        is pulled one request at a time (it may be a generator a million
+        requests long) and must already be sorted by ``arrival_time``.  With
+        ``retain_records=False`` neither records nor timeline spans are kept:
+        each record is made as its request arrives and dropped at departure,
+        so fed an iterator, peak memory is set by the batch, the KV pool and
+        the sketches, not by the trace length.
+        """
         slo = slo or SLO()
-        if not self.config.retain_records:
-            return self._run_streaming(trace, slo)
-        states = _make_states(list(trace) if not isinstance(trace, Sequence) else trace)
+        retain = self.config.retain_records
+        fold = _metrics_fold(slo, self.config.tenancy, retain)
+        records: List[RequestRecord] = []
+        # An iterator's trace order is its arrival order, so its records are
+        # kept as they arrive.
+        collect = False
+        if not isinstance(trace, Sequence):
+            ordered: Iterable[RequestRecord] = (RequestRecord(r) for r in trace)
+            collect = retain
+        elif retain:
+            records = [RequestRecord(request) for request in trace]
+            ordered = sorted(records, key=lambda record: _arrival_key(record.request))
+        else:
+            # Records are made one at a time and dropped at departure, so
+            # none outlives its fold.
+            ordered = (RequestRecord(r) for r in sorted(trace, key=_arrival_key))
+        # The generator below runs inside the pool loop; the first arrival
+        # anchors the run's duration measurement.
+        first_arrival: List[float] = []
+
+        def arrivals() -> Iterator[RequestState]:
+            last = float("-inf")
+            for record in ordered:
+                arrival = record.request.arrival_time
+                if arrival < last:
+                    raise ValueError(
+                        "trace iterators must be sorted by arrival_time "
+                        f"(request {record.request.request_id!r} arrives at "
+                        f"{arrival!r} after {last!r}); pass a list to have "
+                        "it sorted"
+                    )
+                if not first_arrival:
+                    first_arrival.append(arrival)
+                last = arrival
+                if collect:
+                    records.append(record)
+                yield RequestState(record=record)
+
         timeline = Timeline(num_devices=1)
-        outcome = self.pool.run(states, timeline=timeline, device=0)
-        records = [state.record for state in states]
-        arrivals = [r.request.arrival_time for r in records]
-        duration = max(outcome.end_time - min(arrivals), 1e-12) if records else 0.0
+        outcome = self.pool.run(
+            arrivals(),
+            timeline=timeline if retain else None,
+            device=0,
+            on_depart=fold.observe,
+        )
+        duration = max(outcome.end_time - first_arrival[0], 1e-12) if first_arrival else 0.0
         batcher = self.pool.batcher
         prefix = self.pool.allocator.prefix
         prefix_evictions = prefix.evicted_blocks if prefix is not None else 0
         required = batcher.prefix_hit_tokens + batcher.tokens_prefilled
-        metrics = compute_metrics(
-            records,
+        metrics = fold.finalize(
             duration,
-            slo,
             kv_utilization_mean=outcome.kv_mean,
             kv_utilization_peak=outcome.kv_peak,
             preemptions=batcher.preemptions,
@@ -854,13 +857,6 @@ class ServingEngine:
             prefix_hit_tokens=batcher.prefix_hit_tokens,
             prefix_flops_saved=batcher.prefix_flops_saved,
             prefix_evictions=prefix_evictions,
-        )
-        tenancy = self.config.tenancy
-        tenant_metrics = compute_tenant_metrics(
-            records,
-            duration,
-            slo,
-            tenant_slos=tenancy.slo_map() if tenancy is not None else None,
         )
         return ServingResult(
             mode="colocated",
@@ -878,81 +874,8 @@ class ServingEngine:
             prefix_flops_saved=batcher.prefix_flops_saved,
             prefill_flops_executed=batcher.prefill_flops_executed,
             prefix_evictions=prefix_evictions,
-            tenant_metrics=tenant_metrics,
-        )
-
-    def _run_streaming(self, trace: Iterable[Request], slo: SLO) -> ServingResult:
-        """Bounded-memory run: lazy arrivals in, streaming accumulator out.
-
-        The trace is pulled one request at a time (it may be a generator a
-        million requests long), finished requests fold into a
-        :class:`StreamingMetrics` accumulator and are dropped, and neither
-        records nor timeline spans are retained — peak memory is set by the
-        batch, the KV pool and the sketch, not by the trace length.
-        """
-        tenancy = self.config.tenancy
-        streaming = StreamingMetrics(
-            slo, tenant_slos=tenancy.slo_map() if tenancy is not None else None
-        )
-        # Mutable cells: the generator below runs inside the pool loop, and
-        # the first arrival anchors the run's duration measurement.
-        first_arrival = [0.0]
-        seen = [False]
-
-        def states() -> Iterator[RequestState]:
-            last = float("-inf")
-            for request in trace:
-                arrival = request.arrival_time
-                if arrival < last:
-                    raise ValueError(
-                        "streaming traces must be sorted by arrival_time "
-                        f"(request {request.request_id!r} arrives at {arrival!r} "
-                        f"after {last!r})"
-                    )
-                last = arrival
-                if not seen[0]:
-                    first_arrival[0] = arrival
-                    seen[0] = True
-                yield RequestState(record=RequestRecord(request))
-
-        outcome = self.pool.run(
-            states(),
-            device=0,
-            on_depart=lambda state: streaming.observe(state.record),
-        )
-        duration = max(outcome.end_time - first_arrival[0], 1e-12) if seen[0] else 0.0
-        batcher = self.pool.batcher
-        prefix = self.pool.allocator.prefix
-        prefix_evictions = prefix.evicted_blocks if prefix is not None else 0
-        required = batcher.prefix_hit_tokens + batcher.tokens_prefilled
-        metrics = streaming.finalize(
-            duration,
-            kv_utilization_mean=outcome.kv_mean,
-            kv_utilization_peak=outcome.kv_peak,
-            preemptions=batcher.preemptions,
-            prefix_hit_rate=batcher.prefix_hit_tokens / required if required else 0.0,
-            prefix_hit_tokens=batcher.prefix_hit_tokens,
-            prefix_flops_saved=batcher.prefix_flops_saved,
-            prefix_evictions=prefix_evictions,
-        )
-        return ServingResult(
-            mode="colocated",
-            metrics=metrics,
-            records=[],
-            timeline=Timeline(num_devices=1),
-            iterations=outcome.iterations,
-            kv_capacity_tokens=self.pool.kv_capacity_tokens,
-            tokens_admitted=batcher.tokens_admitted,
-            tokens_prefilled=batcher.tokens_prefilled,
-            tokens_preempted_requeued=batcher.tokens_preempted_requeued,
-            preemptions=batcher.preemptions,
-            prefix_hit_tokens=batcher.prefix_hit_tokens,
-            prefix_hit_requests=batcher.prefix_hit_requests,
-            prefix_flops_saved=batcher.prefix_flops_saved,
-            prefill_flops_executed=batcher.prefill_flops_executed,
-            prefix_evictions=prefix_evictions,
-            retain_records=False,
-            tenant_metrics=streaming.tenant_metrics(duration),
+            retain_records=retain,
+            tenant_metrics=fold.tenant_metrics(duration),
         )
 
 
@@ -973,7 +896,6 @@ class DisaggregatedEngine:
         config: Optional[ServingConfig] = None,
         prefill_fraction: float = 0.5,
         topology: Optional[ClusterTopology] = None,
-        cost_model: Optional[CostModel] = None,
     ):
         self.model = model
         self.config = config or ServingConfig()
@@ -1000,7 +922,6 @@ class DisaggregatedEngine:
             model,
             prefill_gpus,
             replace(self.config, tpot_cap=None),
-            cost_model,
             prefill_only=True,
         )
         # No prefill runs on the decode pool either, so its cap is moot too.
@@ -1008,7 +929,6 @@ class DisaggregatedEngine:
             model,
             decode_gpus,
             replace(self.config, tpot_cap=None),
-            cost_model,
             decode_only=True,
         )
 
@@ -1023,6 +943,7 @@ class DisaggregatedEngine:
 
     def run(self, trace: Sequence[Request], slo: Optional[SLO] = None) -> ServingResult:
         slo = slo or SLO()
+        fold = _metrics_fold(slo, self.config.tenancy, retain_records=True)
         states = _make_states(trace)
         timeline = Timeline(num_devices=2)
         prefill_run = self.prefill_pool.run(states, timeline=timeline, device=0)
@@ -1030,7 +951,9 @@ class DisaggregatedEngine:
         handoffs: List[RequestState] = []
         for state in prefill_run.departed:
             if state.phase is not Phase.HANDOFF:
-                continue  # finished at prefill (single-output-token request)
+                # Finished at prefill (single-output-token request).
+                fold.observe(state.record)
+                continue
             handoffs.append(
                 RequestState(
                     record=state.record,
@@ -1040,12 +963,17 @@ class DisaggregatedEngine:
                     + self._transfer_time(state.request.prompt_tokens),
                 )
             )
-        decode_run = self.decode_pool.run(handoffs, timeline=timeline, device=1)
+        decode_run = self.decode_pool.run(
+            handoffs, timeline=timeline, device=1, on_depart=fold.observe
+        )
 
         records = [state.record for state in states]
-        arrivals = [r.request.arrival_time for r in records]
         end_time = max(prefill_run.end_time, decode_run.end_time)
-        duration = max(end_time - min(arrivals), 1e-12) if records else 0.0
+        duration = (
+            max(end_time - min(r.request.arrival_time for r in records), 1e-12)
+            if records
+            else 0.0
+        )
         # Combine pool KV statistics weighted by each pool's busy time (the
         # decode pool idles until the first hand-off arrives, so wall-clock
         # end times would over-weight it).
@@ -1062,10 +990,8 @@ class DisaggregatedEngine:
         hit_tokens = pf.prefix_hit_tokens + dc.prefix_hit_tokens
         prefilled = pf.tokens_prefilled + dc.tokens_prefilled
         required = hit_tokens + prefilled
-        metrics = compute_metrics(
-            records,
+        metrics = fold.finalize(
             duration,
-            slo,
             kv_utilization_mean=kv_mean,
             kv_utilization_peak=max(prefill_run.kv_peak, decode_run.kv_peak),
             preemptions=preemptions,
@@ -1073,13 +999,6 @@ class DisaggregatedEngine:
             prefix_hit_tokens=hit_tokens,
             prefix_flops_saved=pf.prefix_flops_saved + dc.prefix_flops_saved,
             prefix_evictions=prefix_evictions,
-        )
-        tenancy = self.config.tenancy
-        tenant_metrics = compute_tenant_metrics(
-            records,
-            duration,
-            slo,
-            tenant_slos=tenancy.slo_map() if tenancy is not None else None,
         )
         return ServingResult(
             mode="disaggregated",
@@ -1099,5 +1018,5 @@ class DisaggregatedEngine:
             prefix_flops_saved=pf.prefix_flops_saved + dc.prefix_flops_saved,
             prefill_flops_executed=pf.prefill_flops_executed + dc.prefill_flops_executed,
             prefix_evictions=prefix_evictions,
-            tenant_metrics=tenant_metrics,
+            tenant_metrics=fold.tenant_metrics(duration),
         )

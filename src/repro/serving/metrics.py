@@ -17,10 +17,10 @@ prefill/decode-disaggregation papers optimise for instead of raw throughput.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from ..analysis.report import format_percent, render_table
-from ..obs.sketch import QuantileSketch
+from ..obs.sketch import QuantileSketch, interpolate
 from .workload import Request
 
 __all__ = [
@@ -32,55 +32,61 @@ __all__ = [
     "StreamingMetrics",
     "percentile",
     "compute_metrics",
-    "compute_tenant_metrics",
     "tenant_report_text",
 ]
 
 
 class PercentileSummary:
-    """Single-sort percentile reader over one sample.
+    """Exact percentile reader: keeps every sample and sorts once per read burst.
 
-    Aggregations read several quantiles of the same latency sample (p50 /
-    p95 / p99), and the serving and fleet engines recompute those
-    aggregations once per simulated run; sorting once and interpolating per
-    read replaces the former sort-per-:func:`percentile`-call without
-    changing a single bit of the result (the interpolation arithmetic is
-    identical).
+    ``PercentileSummary(values)`` summarises a collected sample (an empty
+    one is an error); ``PercentileSummary()`` starts empty and grows with
+    :meth:`add` — the exact backend of :class:`StreamingMetrics`.  Reads
+    interpolate with :func:`~repro.obs.sketch.interpolate`, so the result
+    does not depend on the order samples were added in.
     """
 
-    __slots__ = ("_ordered",)
+    __slots__ = ("_ordered", "_sorted")
 
-    def __init__(self, values: Sequence[float], metric: Optional[str] = None):
-        if not values:
+    def __init__(self, values: Optional[Sequence[float]] = None, metric: Optional[str] = None):
+        if values is not None and not values:
             name = metric or "sample"
             raise ValueError(
                 f"cannot summarise {name}: no samples were collected "
                 "(did any request finish?)"
             )
-        self._ordered = sorted(values)
+        self._ordered: List[float] = sorted(values) if values is not None else []
+        self._sorted = True
+
+    def add(self, value: float) -> None:
+        self._ordered.append(value)
+        self._sorted = False
+
+    def _sort(self) -> List[float]:
+        if not self._sorted:
+            self._ordered.sort()
+            self._sorted = True
+        return self._ordered
+
+    def quantile(self, q: float) -> float:
+        """Linear-interpolation quantile (``q`` in [0, 1]) of the sample."""
+        return interpolate(self._sort(), q)
 
     def at(self, q: float) -> float:
         """Linear-interpolation percentile (``q`` in [0, 100]) of the sample."""
         if not 0.0 <= q <= 100.0:
             raise ValueError("q must be in [0, 100]")
-        ordered = self._ordered
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = q / 100.0 * (len(ordered) - 1)
-        lo = int(rank)
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = rank - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        return self.quantile(q / 100.0)
 
     @property
     def count(self) -> int:
-        """Number of samples behind the summary (>= 1 by construction)."""
+        """Number of samples behind the summary."""
         return len(self._ordered)
 
     @property
     def max(self) -> float:
         """Largest observed sample (the p100 read, without interpolating)."""
-        return self._ordered[-1]
+        return self._sort()[-1]
 
 
 def percentile(values: Sequence[float], q: float, metric: Optional[str] = None) -> float:
@@ -211,10 +217,10 @@ class TenantMetrics:
     """One tenant's slice of a run: latencies, goodput, SLO attainment.
 
     Computed against the tenant's *own* SLO (its SLO class when a tenancy
-    config is installed, the run's global SLO otherwise).  Counter fields
-    (requests, tokens, good requests) are exact on both the record-based and
-    streaming paths; percentiles are exact record-side and P²-sketched
-    stream-side, the same contract :class:`StreamingMetrics` documents.
+    config is installed, the run's global SLO otherwise) by the same
+    :class:`StreamingMetrics` fold as the run-wide metrics: counter fields
+    (requests, tokens, good requests) are always exact, percentiles follow
+    the fold's quantile backend.
     """
 
     tenant: str
@@ -268,39 +274,39 @@ def tenant_report_text(
     )
 
 
+#: The percentile fields of :class:`ServingMetrics` / :class:`TenantMetrics`
+#: as ``(suffix, quantile)`` pairs.
+_PERCENTILES = (("p50", 0.5), ("p95", 0.95), ("p99", 0.99))
+
+
 class StreamingMetrics:
-    """Bounded-memory aggregation of finished requests.
+    """The one fold that aggregates finished requests, for every engine.
 
-    The streaming counterpart of :func:`compute_metrics`: engines fold each
-    finished :class:`RequestRecord` in with :meth:`observe` and then *drop*
-    it, so a million-request run holds O(1) metric state instead of a
-    million records.  Internals:
+    Engines fold each finished :class:`RequestRecord` in with :meth:`observe`
+    as it departs; :meth:`finalize` and :meth:`tenant_metrics` then assemble
+    :class:`ServingMetrics` and the per-tenant :class:`TenantMetrics`.  Only
+    the latency quantiles depend on the backend ``exact`` picks (engines pass
+    their ``retain_records`` setting):
 
-    * **latency percentiles** come from P² quantile sketches
-      (:class:`~repro.obs.sketch.QuantileSketch`) — exact for five or fewer
-      samples (bit-identical to :class:`PercentileSummary`), approximate
-      within the documented P² bound beyond that;
-    * **counts, totals and goodput** (requests finished, output tokens,
-      SLO-meeting requests) are exact integer counters, so throughput,
-      goodput fraction and goodput RPS match the record-based path to the
-      last bit;
-    * **windowed finish counters** track completions per fixed time window
-      (O(duration / window) memory, independent of request count) for
-      arrival-curve introspection of diurnal traces.
+    * ``exact=True`` keeps every latency sample in a
+      :class:`PercentileSummary`, sorted once at read time — the same
+      result in any fold order;
+    * ``exact=False`` uses P² quantile sketches
+      (:class:`~repro.obs.sketch.QuantileSketch`) — O(1) memory, so a
+      million-request run holds no per-request state; exact for five or
+      fewer samples, approximate within the documented P² bound beyond.
 
-    :meth:`finalize` assembles the same :class:`ServingMetrics` dataclass
-    ``compute_metrics`` returns, taking the engine's exact KV/preemption/
-    prefix-FLOP counters as arguments just like the record-based path does.
+    Counts, totals and goodput (requests finished, output tokens,
+    SLO-meeting requests) are integer counters on both backends, so
+    throughput, goodput fraction and goodput RPS are always exact.
     """
 
     __slots__ = (
         "slo",
-        "window_seconds",
+        "exact",
         "finished",
         "good_requests",
         "output_tokens",
-        "last_finish_time",
-        "window_counts",
         "tenant_slos",
         "_tenants",
         "_ttft",
@@ -311,33 +317,31 @@ class StreamingMetrics:
     def __init__(
         self,
         slo: Optional[SLO] = None,
-        window_seconds: float = 60.0,
         tenant_slos: Optional[Mapping[str, SLO]] = None,
-        _track_tenants: bool = True,
+        exact: bool = False,
     ):
-        if window_seconds <= 0:
-            raise ValueError("window_seconds must be positive")
         self.slo = slo or SLO()
-        self.window_seconds = window_seconds
+        self.exact = exact
         self.finished = 0
         self.good_requests = 0
         self.output_tokens = 0
-        self.last_finish_time = 0.0
-        #: Finished-request count per ``window_seconds`` bucket of finish
-        #: time, keyed by the bucket index (``finish_time // window``).
-        self.window_counts: Dict[int, int] = {}
         #: Per-tenant SLO overrides (the tenant's SLO class); tenants not
         #: listed are judged against the run's global ``slo``.
         self.tenant_slos: Dict[str, SLO] = dict(tenant_slos) if tenant_slos else {}
-        # One nested single-level accumulator per tagged tenant; ``None`` in
-        # the nested accumulators themselves (no recursion).  Untagged
-        # traffic allocates nothing here.
-        self._tenants: Optional[Dict[str, "StreamingMetrics"]] = (
-            {} if _track_tenants else None
-        )
-        self._ttft = QuantileSketch("TTFT")
-        self._tpot = QuantileSketch("TPOT")
-        self._e2e = QuantileSketch("E2E latency")
+        # One nested accumulator per tagged tenant, fed through ``_add`` so
+        # it never nests further.  Untagged traffic allocates nothing here.
+        self._tenants: Dict[str, "StreamingMetrics"] = {}
+        self._ttft: Union[PercentileSummary, QuantileSketch]
+        self._tpot: Union[PercentileSummary, QuantileSketch]
+        self._e2e: Union[PercentileSummary, QuantileSketch]
+        if exact:
+            self._ttft, self._tpot, self._e2e = (
+                PercentileSummary(), PercentileSummary(), PercentileSummary()
+            )
+        else:
+            self._ttft = QuantileSketch("TTFT")
+            self._tpot = QuantileSketch("TPOT")
+            self._e2e = QuantileSketch("E2E latency")
 
     def observe(self, record: RequestRecord) -> None:
         """Fold one *finished* request in; the caller may then drop it."""
@@ -346,69 +350,54 @@ class StreamingMetrics:
                 f"request {record.request.request_id} has not finished; "
                 "StreamingMetrics only aggregates completed requests"
             )
+        self._add(record)
+        tenant = record.request.tenant
+        if tenant is not None:
+            sub = self._tenants.get(tenant)
+            if sub is None:
+                sub = StreamingMetrics(
+                    self.tenant_slos.get(tenant, self.slo), exact=self.exact
+                )
+                self._tenants[tenant] = sub
+            sub._add(record)
+
+    def _add(self, record: RequestRecord) -> None:
         self.finished += 1
         self.output_tokens += record.request.output_tokens
         if record.meets(self.slo):
             self.good_requests += 1
-        finish = record.finish_time
-        if finish > self.last_finish_time:
-            self.last_finish_time = finish
-        bucket = int(finish // self.window_seconds)
-        self.window_counts[bucket] = self.window_counts.get(bucket, 0) + 1
         self._ttft.add(record.ttft)
         self._tpot.add(record.tpot)
         self._e2e.add(record.e2e_latency)
-        if self._tenants is not None:
-            tenant = record.request.tenant
-            if tenant is not None:
-                sub = self._tenants.get(tenant)
-                if sub is None:
-                    sub = StreamingMetrics(
-                        self.tenant_slos.get(tenant, self.slo),
-                        self.window_seconds,
-                        _track_tenants=False,
-                    )
-                    self._tenants[tenant] = sub
-                sub.observe(record)
 
     @property
     def count(self) -> int:
         return self.finished
 
-    def peak_window(self) -> tuple:
-        """``(window_start_time, count)`` of the busiest finish window."""
-        if not self.window_counts:
-            raise ValueError("no finished requests observed")
-        bucket, count = max(self.window_counts.items(), key=lambda item: (item[1], -item[0]))
-        return (bucket * self.window_seconds, count)
+    def _percentile_fields(self) -> Dict[str, float]:
+        """The nine ``{ttft,tpot,e2e}_p{50,95,99}`` metric fields."""
+        return {
+            f"{name}_{suffix}": sample.quantile(q)
+            for name, sample in (("ttft", self._ttft), ("tpot", self._tpot), ("e2e", self._e2e))
+            for suffix, q in _PERCENTILES
+        }
 
     def tenant_metrics(self, duration: float) -> Dict[str, TenantMetrics]:
         """Per-tenant aggregates of the folded stream (empty when untagged)."""
-        if not self._tenants:
-            return {}
         span = max(duration, 1e-12)
-        out: Dict[str, TenantMetrics] = {}
-        for tenant in sorted(self._tenants):
-            sub = self._tenants[tenant]
-            out[tenant] = TenantMetrics(
+        return {
+            tenant: TenantMetrics(
                 tenant=tenant,
                 num_requests=sub.finished,
                 output_tokens=sub.output_tokens,
                 good_requests=sub.good_requests,
                 goodput_fraction=sub.good_requests / sub.finished,
                 goodput_rps=sub.good_requests / span,
-                ttft_p50=sub._ttft.quantile(0.5),
-                ttft_p95=sub._ttft.quantile(0.95),
-                ttft_p99=sub._ttft.quantile(0.99),
-                tpot_p50=sub._tpot.quantile(0.5),
-                tpot_p95=sub._tpot.quantile(0.95),
-                tpot_p99=sub._tpot.quantile(0.99),
-                e2e_p50=sub._e2e.quantile(0.5),
-                e2e_p95=sub._e2e.quantile(0.95),
-                e2e_p99=sub._e2e.quantile(0.99),
                 slo=sub.slo,
+                **sub._percentile_fields(),
             )
-        return out
+            for tenant, sub in sorted(self._tenants.items())
+        }
 
     def finalize(
         self,
@@ -421,7 +410,7 @@ class StreamingMetrics:
         prefix_flops_saved: float = 0.0,
         prefix_evictions: int = 0,
     ) -> ServingMetrics:
-        """Assemble :class:`ServingMetrics` from the folded stream."""
+        """Assemble :class:`ServingMetrics` from the fold plus engine counters."""
         if self.finished == 0:
             raise ValueError(
                 "no finished requests to aggregate (0 observed) — the trace "
@@ -431,15 +420,6 @@ class StreamingMetrics:
         return ServingMetrics(
             num_requests=self.finished,
             duration=duration,
-            ttft_p50=self._ttft.quantile(0.5),
-            ttft_p95=self._ttft.quantile(0.95),
-            ttft_p99=self._ttft.quantile(0.99),
-            tpot_p50=self._tpot.quantile(0.5),
-            tpot_p95=self._tpot.quantile(0.95),
-            tpot_p99=self._tpot.quantile(0.99),
-            e2e_p50=self._e2e.quantile(0.5),
-            e2e_p95=self._e2e.quantile(0.95),
-            e2e_p99=self._e2e.quantile(0.99),
             output_tokens_per_second=self.output_tokens / span,
             requests_per_second=self.finished / span,
             goodput_fraction=self.good_requests / self.finished,
@@ -452,6 +432,7 @@ class StreamingMetrics:
             prefix_hit_tokens=prefix_hit_tokens,
             prefix_flops_saved=prefix_flops_saved,
             prefix_evictions=prefix_evictions,
+            **self._percentile_fields(),
         )
 
 
@@ -459,101 +440,22 @@ def compute_metrics(
     records: Sequence[RequestRecord],
     duration: float,
     slo: SLO,
-    kv_utilization_mean: float = 0.0,
-    kv_utilization_peak: float = 0.0,
-    preemptions: int = 0,
-    prefix_hit_rate: float = 0.0,
-    prefix_hit_tokens: int = 0,
-    prefix_flops_saved: float = 0.0,
-    prefix_evictions: int = 0,
+    **counters: float,
 ) -> ServingMetrics:
-    """Aggregate per-request records into :class:`ServingMetrics`."""
-    done = [r for r in records if r.finished]
-    if not done:
+    """Fold the finished ``records`` exactly and finalize.
+
+    ``counters`` are the engine-side keyword arguments of
+    :meth:`StreamingMetrics.finalize` (KV utilization, preemptions, prefix
+    cache counters).
+    """
+    fold = StreamingMetrics(slo, exact=True)
+    for record in records:
+        if record.finished:
+            fold.observe(record)
+    if fold.finished == 0:
         raise ValueError(
             f"no finished requests to aggregate ({len(records)} records, "
             "0 finished) — the trace may be empty or the run ended before "
             "any request completed"
         )
-    ttfts = PercentileSummary([r.ttft for r in done], metric="TTFT")
-    tpots = PercentileSummary([r.tpot for r in done], metric="TPOT")
-    e2es = PercentileSummary([r.e2e_latency for r in done], metric="E2E latency")
-    output_tokens = sum(r.request.output_tokens for r in done)
-    span = max(duration, 1e-12)
-    good = sum(1 for r in done if r.meets(slo))
-    return ServingMetrics(
-        num_requests=len(done),
-        duration=duration,
-        ttft_p50=ttfts.at(50),
-        ttft_p95=ttfts.at(95),
-        ttft_p99=ttfts.at(99),
-        tpot_p50=tpots.at(50),
-        tpot_p95=tpots.at(95),
-        tpot_p99=tpots.at(99),
-        e2e_p50=e2es.at(50),
-        e2e_p95=e2es.at(95),
-        e2e_p99=e2es.at(99),
-        output_tokens_per_second=output_tokens / span,
-        requests_per_second=len(done) / span,
-        goodput_fraction=good / len(done),
-        goodput_rps=good / span,
-        kv_utilization_mean=kv_utilization_mean,
-        kv_utilization_peak=kv_utilization_peak,
-        preemptions=preemptions,
-        slo=slo,
-        prefix_hit_rate=prefix_hit_rate,
-        prefix_hit_tokens=prefix_hit_tokens,
-        prefix_flops_saved=prefix_flops_saved,
-        prefix_evictions=prefix_evictions,
-    )
-
-
-def compute_tenant_metrics(
-    records: Sequence[RequestRecord],
-    duration: float,
-    slo: SLO,
-    tenant_slos: Optional[Mapping[str, SLO]] = None,
-) -> Dict[str, TenantMetrics]:
-    """Group finished records by tenant and aggregate each group exactly.
-
-    Records with ``tenant=None`` belong to no tenant and are skipped, so an
-    untagged run returns ``{}`` — per-tenant reporting costs nothing unless
-    the workload opted in.  Each tenant is judged against its own SLO from
-    ``tenant_slos`` (falling back to the run's global ``slo``).
-    """
-    groups: Dict[str, List[RequestRecord]] = {}
-    for record in records:
-        tenant = record.request.tenant
-        if tenant is not None and record.finished:
-            groups.setdefault(tenant, []).append(record)
-    if not groups:
-        return {}
-    span = max(duration, 1e-12)
-    slos = dict(tenant_slos) if tenant_slos else {}
-    out: Dict[str, TenantMetrics] = {}
-    for tenant in sorted(groups):
-        done = groups[tenant]
-        tenant_slo = slos.get(tenant, slo)
-        ttfts = PercentileSummary([r.ttft for r in done], metric="TTFT")
-        tpots = PercentileSummary([r.tpot for r in done], metric="TPOT")
-        e2es = PercentileSummary([r.e2e_latency for r in done], metric="E2E latency")
-        good = sum(1 for r in done if r.meets(tenant_slo))
-        out[tenant] = TenantMetrics(
-            tenant=tenant,
-            num_requests=len(done),
-            output_tokens=sum(r.request.output_tokens for r in done),
-            good_requests=good,
-            goodput_fraction=good / len(done),
-            goodput_rps=good / span,
-            ttft_p50=ttfts.at(50),
-            ttft_p95=ttfts.at(95),
-            ttft_p99=ttfts.at(99),
-            tpot_p50=tpots.at(50),
-            tpot_p95=tpots.at(95),
-            tpot_p99=tpots.at(99),
-            e2e_p50=e2es.at(50),
-            e2e_p95=e2es.at(95),
-            e2e_p99=e2es.at(99),
-            slo=tenant_slo,
-        )
-    return out
+    return fold.finalize(duration, **counters)

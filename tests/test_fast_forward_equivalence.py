@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.fleet.scenarios import FLEET_SCENARIO_REGISTRY, run_fleet_scenario
 from repro.model.config import get_model_config
-from repro.model.costs import CostModel, PassKind
+from repro.model.costs import PassKind
 from repro.model.flops import FlopsBreakdown
 from repro.serving.batcher import BatcherConfig
 from repro.serving.engine import ServingConfig, ServingEngine, _Pool
@@ -194,26 +194,3 @@ class TestPairPricing:
                 + pool.config.iteration_overhead
             )
         assert pool._pair_time(linear, attention, batch_tokens) == reference
-
-    def test_subclassed_cost_model_disables_inlining(self):
-        class DoubledCosts(CostModel):
-            def time_of(self, flops, kind, tokens, include_overhead=True):
-                return 2.0 * super().time_of(flops, kind, tokens, include_overhead)
-
-        pool = _Pool(LLAMA_13B, 1, ServingConfig(num_gpus=1), DoubledCosts())
-        assert not pool.exact_pricing
-        assert pool.decode_stretch_length() == 0
-
-    def test_subclassed_cost_model_runs_on_the_reference_path(self):
-        # A cost-model override must keep pricing every iteration virtually
-        # (no inlined fast path, no coalescing) — and therefore be honoured.
-        class DoubledCosts(CostModel):
-            def time_of(self, flops, kind, tokens, include_overhead=True):
-                return 2.0 * super().time_of(flops, kind, tokens, include_overhead)
-
-        trace = replay_trace([(0.0, 512, 32), (0.2, 1024, 16)])
-        config = ServingConfig(num_gpus=1, tpot_cap=0.05)
-        baseline = ServingEngine(LLAMA_13B, config).run(trace, SLO())
-        doubled = ServingEngine(LLAMA_13B, config, DoubledCosts()).run(trace, SLO())
-        assert all(r.finished for r in doubled.records)
-        assert doubled.metrics.duration > baseline.metrics.duration

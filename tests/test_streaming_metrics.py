@@ -1,8 +1,15 @@
-"""Bounded-memory streaming metrics vs the record-based reference.
+"""The metrics fold: exact backend vs P² backend, and fold-order independence.
 
-``StreamingMetrics`` is the million-request path's accumulator: engines fold
-each finished request in and drop its record.  The contract this suite pins:
+``StreamingMetrics`` is the one aggregation every engine folds finished
+requests into.  Its exact backend (``exact=True``, what ``retain_records=True``
+runs use and what :func:`compute_metrics` folds through) must not depend on
+fold order; its P² backend (``exact=False``) lets million-request runs drop
+every record.  The contract this suite pins:
 
+* **order independence** — folding the same finished records in any order
+  into the exact backend gives bit-identical run-wide and per-tenant
+  metrics, equal to :func:`compute_metrics` and :class:`PercentileSummary`
+  over the records in trace order;
 * **small samples are exact** — with five or fewer observations the P²
   sketches interpolate their sorted buffers with arithmetic bit-identical
   to :class:`PercentileSummary`, so the streamed ``ServingMetrics`` equals
@@ -16,9 +23,10 @@ each finished request in and drop its record.  The contract this suite pins:
   under preemption pressure) and a fleet run under crash pressure produce
   the same exact-field metrics and iteration counts as the record-retaining
   run, with no records held;
-* **guard rails** — streaming traces must arrive sorted, disaggregation
-  and fleet timeline collection refuse to stream, unfinished records are
-  rejected.
+* **guard rails** — trace iterators must arrive sorted (list traces are
+  sorted for the engine and keep their order in ``records``),
+  disaggregation and fleet timeline collection refuse to stream,
+  unfinished records are rejected.
 """
 
 import math
@@ -79,8 +87,8 @@ def _record(request_id, arrival, first_token, finish, output_tokens=8):
     return record
 
 
-def _fold(records, slo=None):
-    streaming = StreamingMetrics(slo)
+def _fold(records, slo=None, exact=False, tenant_slos=None):
+    streaming = StreamingMetrics(slo, tenant_slos=tenant_slos, exact=exact)
     for record in records:
         streaming.observe(record)
     return streaming
@@ -97,6 +105,17 @@ class TestPercentileSummaryAccessors:
         assert summary.count == 1
         assert summary.max == 7.5
         assert summary.at(99.0) == 7.5
+
+    def test_grown_summary_equals_built_summary(self):
+        values = [0.3, 2.5, 0.1, 1.7, 0.9, 4.2, 0.6]
+        grown = PercentileSummary()
+        for value in values:
+            grown.add(value)
+            assert grown.max == max(values[: grown.count])
+        built = PercentileSummary(values)
+        assert grown.count == built.count == len(values)
+        for q in (0.0, 50.0, 95.0, 99.0, 100.0):
+            assert grown.at(q) == built.at(q)
 
 
 class TestSmallSampleBitIdentity:
@@ -123,6 +142,65 @@ class TestSmallSampleBitIdentity:
         assert asdict(streamed) == asdict(reference)
 
 
+class TestExactFoldOrderIndependence:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        rows=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
+                st.floats(min_value=1e-3, max_value=5.0, allow_nan=False),
+                st.floats(min_value=1e-3, max_value=60.0, allow_nan=False),
+                st.integers(min_value=1, max_value=40),
+                st.sampled_from([None, "alpha", "beta", "gamma"]),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+    )
+    def test_shuffled_fold_equals_trace_order_reference(self, data, rows):
+        records = []
+        for i, (arrival, ttft, tail, output_tokens, tenant) in enumerate(rows):
+            record = RequestRecord(
+                Request(
+                    i, arrival, prompt_tokens=64, output_tokens=output_tokens,
+                    tenant=tenant,
+                )
+            )
+            record.first_token_time = arrival + ttft
+            record.finish_time = arrival + ttft + tail
+            records.append(record)
+        slo = SLO(ttft=1.0, tpot=0.2)
+        tenant_slos = {"beta": SLO(ttft=0.5, tpot=0.05)}
+        duration = max(r.finish_time for r in records)
+        shuffled = data.draw(st.permutations(records))
+        fold = _fold(shuffled, slo, exact=True, tenant_slos=tenant_slos)
+        in_order = _fold(records, slo, exact=True, tenant_slos=tenant_slos)
+
+        reference = compute_metrics(records, duration, slo, preemptions=2)
+        assert asdict(fold.finalize(duration, preemptions=2)) == asdict(reference)
+        assert fold.tenant_metrics(duration) == in_order.tenant_metrics(duration)
+        # Independent reference: the single-sort PercentileSummary over each
+        # tenant's records in trace order, judged against the tenant's SLO.
+        tenants = fold.tenant_metrics(duration)
+        assert sorted(tenants) == sorted({r.request.tenant for r in records} - {None})
+        for name, metrics in tenants.items():
+            group = [r for r in records if r.request.tenant == name]
+            tenant_slo = tenant_slos.get(name, slo)
+            assert metrics.slo == tenant_slo
+            assert metrics.num_requests == len(group)
+            assert metrics.output_tokens == sum(r.request.output_tokens for r in group)
+            assert metrics.good_requests == sum(r.meets(tenant_slo) for r in group)
+            for metric, values in (
+                ("ttft", [r.ttft for r in group]),
+                ("tpot", [r.tpot for r in group]),
+                ("e2e", [r.e2e_latency for r in group]),
+            ):
+                summary = PercentileSummary(values)
+                for p in (50, 95, 99):
+                    assert getattr(metrics, f"{metric}_p{p}") == summary.at(float(p))
+
+
 class TestStreamingAccumulator:
     def test_rejects_unfinished_record(self):
         record = RequestRecord(Request(0, 0.0, prompt_tokens=8, output_tokens=4))
@@ -132,28 +210,6 @@ class TestStreamingAccumulator:
     def test_rejects_empty_finalize(self):
         with pytest.raises(ValueError, match="no finished requests"):
             StreamingMetrics().finalize(1.0)
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError, match="window_seconds"):
-            StreamingMetrics(window_seconds=0.0)
-
-    def test_peak_window(self):
-        streaming = StreamingMetrics(window_seconds=10.0)
-        with pytest.raises(ValueError, match="no finished requests"):
-            streaming.peak_window()
-        for i, finish in enumerate([1.0, 12.0, 15.0, 18.0, 21.0]):
-            streaming.observe(_record(i, 0.0, finish - 0.5, finish))
-        start, count = streaming.peak_window()
-        assert (start, count) == (10.0, 3)
-        assert sum(streaming.window_counts.values()) == streaming.count == 5
-
-    def test_window_memory_is_duration_bound(self):
-        streaming = StreamingMetrics(window_seconds=60.0)
-        for i in range(1000):
-            finish = (i % 120) + 0.5
-            streaming.observe(_record(i, 0.0, finish - 0.25, finish))
-        assert streaming.count == 1000
-        assert len(streaming.window_counts) == 2  # ceil(120s / 60s) buckets
 
     def test_exact_aggregates_beyond_sketch_regime(self):
         records = [
@@ -287,6 +343,32 @@ class TestServingStreamingEndToEnd:
         engine = ServingEngine(LLAMA_13B, _serving_config(False))
         with pytest.raises(ValueError, match="sorted by arrival_time"):
             engine.run(iter(trace), SLO())
+
+    def test_streaming_sorts_unsorted_sequence(self):
+        trace = [
+            Request(2, 1.5, prompt_tokens=512, output_tokens=8),
+            Request(0, 0.0, prompt_tokens=256, output_tokens=16),
+            Request(1, 0.0, prompt_tokens=1024, output_tokens=4),
+        ]
+        slo = SLO()
+        streamed = ServingEngine(LLAMA_13B, _serving_config(False)).run(trace, slo)
+        retained = ServingEngine(LLAMA_13B, _serving_config(True)).run(trace, slo)
+        assert streamed.records == []
+        assert asdict(streamed.metrics) == asdict(retained.metrics)
+
+    def test_retained_run_sorts_unsorted_sequence_and_keeps_trace_order(self):
+        trace = [
+            Request(2, 1.5, prompt_tokens=512, output_tokens=8),
+            Request(0, 0.0, prompt_tokens=256, output_tokens=16),
+            Request(1, 0.0, prompt_tokens=1024, output_tokens=4),
+        ]
+        in_order = sorted(trace, key=lambda r: (r.arrival_time, r.request_id))
+        engine_config = _serving_config(True)
+        result = ServingEngine(LLAMA_13B, engine_config).run(trace, SLO())
+        reference = ServingEngine(LLAMA_13B, engine_config).run(in_order, SLO())
+        assert [r.request.request_id for r in result.records] == [2, 0, 1]
+        assert all(r.finished for r in result.records)
+        assert asdict(result.metrics) == asdict(reference.metrics)
 
     def test_disaggregation_refuses_streaming(self):
         with pytest.raises(ValueError, match="requires the colocated engine"):
