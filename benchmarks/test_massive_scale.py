@@ -19,7 +19,7 @@ family usable at million-request scale:
 The full 1M-request acceptance run — same gates, whole trace — is opt-in
 behind ``REPRO_MASSIVE_FULL=1`` (the traced arm alone costs ~15 minutes).
 
-Rows land in ``BENCH_massive.json`` (override with ``$BENCH_MASSIVE_JSON``)
+Rows land in ``BENCH_massive.new.json`` (override with ``$BENCH_MASSIVE_JSON``)
 so CI can archive the trajectory and ``bench_delta.py --gate`` can hold the
 line on wall-clock, goodput and ``peak_tracemalloc_mb``.
 """
@@ -37,7 +37,7 @@ from repro.model import flops as model_flops
 from repro.serving import get_scenario, run_scenario
 from repro.serving import engine as serving_engine
 
-_ARTIFACT = BenchArtifact("BENCH_MASSIVE_JSON", "BENCH_massive.json")
+_ARTIFACT = BenchArtifact("massive")
 
 # Minimum simulated requests per wall-clock minute for massive-chat slices.
 MIN_REQUESTS_PER_MINUTE = 200_000
@@ -58,6 +58,7 @@ def _emit_bench_json():
     # (file order puts this module before test_serving_throughput).  Leave
     # the process as this module found it.
     serving_engine._decode_flops_cached.cache_clear()
+    serving_engine._decode_table.cache_clear()
     serving_engine._prefill_flops_cached.cache_clear()
     model_flops.layer_forward_flops.cache_clear()
     model_flops.output_layer_flops.cache_clear()

@@ -10,8 +10,9 @@ reference oracle by a healthy multiple on decode-heavy traffic while
 producing identical results.
 
 Besides the pytest-benchmark timings, the module writes a machine-readable
-``BENCH_serving.json`` (override the path with ``$BENCH_SERVING_JSON``,
-mirroring the fleet benchmarks' ``BENCH_fleet.json``) so CI can archive the
+``BENCH_serving.new.json`` (override the path with ``$BENCH_SERVING_JSON``;
+the committed ``BENCH_serving.json`` is the baseline, mirroring the fleet
+benchmarks' ``BENCH_fleet.json``) so CI can archive the
 perf trajectory per commit: simulator wall seconds, simulated iterations per
 wall second, the fast-forward speedup and the headline serving metrics.
 """
@@ -22,11 +23,12 @@ import time
 import pytest
 
 from _bench_artifact import BenchArtifact
+from _speedup import interleaved_speedup
 from repro.fleet import get_fleet_scenario, run_fleet_scenario
 from repro.obs import EventRecorder, build_attributions, verify_conservation
 from repro.serving import get_scenario, run_scenario
 
-_ARTIFACT = BenchArtifact("BENCH_SERVING_JSON", "BENCH_serving.json")
+_ARTIFACT = BenchArtifact("serving")
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -74,35 +76,28 @@ def test_serving_chat_throughput(once):
 def test_serving_fast_forward_speedup(once):
     """Decode fast-forwarding: same numbers, a multiple of the speed.
 
-    Runs the decode-heavy ``chat`` scenario with fast-forwarding first —
-    any process-global FLOPs ``lru_cache`` warm-up it pays for benefits the
-    naive reference run after it, biasing the measured ratio *against* the
-    fast path — and asserts identical simulated outcomes alongside the
-    wall-clock win.
+    Runs the decode-heavy ``chat`` scenario in interleaved fast/naive pairs
+    (``_speedup``: fast first, median ratio) and asserts identical simulated
+    outcomes alongside the wall-clock win.
     """
     scenario = get_scenario("chat")
-
-    def both():
-        fast_start = time.perf_counter()
-        fast = run_scenario(scenario, "colocated", seed=0)
-        fast_wall = time.perf_counter() - fast_start
-        naive_start = time.perf_counter()
-        naive = run_scenario(scenario, "colocated", seed=0, fast_forward=False)
-        naive_wall = time.perf_counter() - naive_start
-        return naive, naive_wall, fast, fast_wall
-
-    naive, naive_wall, fast, fast_wall = once(both)
-    speedup = naive_wall / max(fast_wall, 1e-9)
+    timing = once(
+        interleaved_speedup,
+        lambda: run_scenario(scenario, "colocated", seed=0),
+        lambda: run_scenario(scenario, "colocated", seed=0, fast_forward=False),
+    )
+    fast, naive, speedup = timing.fast, timing.naive, timing.ratio
     _record(
         "chat.colocated.fast-forward",
         fast,
-        fast_wall,
-        naive_wall_seconds=naive_wall,
+        timing.fast_wall,
+        naive_wall_seconds=timing.naive_wall,
         fast_forward_speedup=speedup,
+        fast_forward_speedups=timing.ratios,
     )
     print()
-    print(f"naive        wall: {naive_wall:8.3f} s")
-    print(f"fast-forward wall: {fast_wall:8.3f} s  ({speedup:.1f}x)")
+    print(f"naive        wall: {timing.naive_wall:8.3f} s (median)")
+    print(f"fast-forward wall: {timing.fast_wall:8.3f} s  ({speedup:.1f}x median)")
 
     assert fast.iterations == naive.iterations
     assert fast.metrics.ttft_p99 == naive.metrics.ttft_p99

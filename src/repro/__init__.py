@@ -101,9 +101,9 @@ one-iteration-at-a-time stepper (``fast_forward=False``, also exposed as
 property the equivalence suite pins across every registered scenario — and
 worth ~4-18x wall-clock on decode-heavy traffic (see the ``Performance``
 section of README.md and the ``BENCH_serving.json`` / ``BENCH_fleet.json``
-artifacts the benchmarks emit).  Iteration pricing is additionally memoized
-on the exact batch composition, and latency percentiles sort each sample
-once per run in the metrics fold
+baselines).  Iterations that do not coalesce are priced from the batcher's
+exact running decode-FLOPs totals and reserve KV only at block boundaries,
+and latency percentiles sort each sample once per run in the metrics fold
 (:class:`~repro.serving.metrics.StreamingMetrics`).
 
 Shared-prefix KV caching

@@ -211,11 +211,10 @@ class _Replica:
         # Decode fast-forward stretch: a pre-validated run of pure-decode
         # iterations.  ``ff_plan`` is the (constant-composition) plan every
         # stretch iteration executes; ``ff_steps`` counts the iterations still
-        # allowed *after* the one in flight; ``ff_contexts``/``ff_ids`` track
-        # the per-request context lengths and allocator keys.
+        # allowed *after* the one in flight; ``ff_ids`` holds the allocator
+        # keys.  Each iteration is priced from the batcher's decode totals.
         self.ff_plan: Optional[IterationPlan] = None
         self.ff_steps = 0
-        self.ff_contexts: Optional[List[int]] = None
         self.ff_ids: Optional[List[int]] = None
         # Observability only (maintained when a recorder is attached): the
         # stretch's start time and completed-iteration count, so the whole
@@ -275,7 +274,6 @@ class _Replica:
     def clear_stretch(self) -> None:
         self.ff_plan = None
         self.ff_steps = 0
-        self.ff_contexts = None
         self.ff_ids = None
 
     def snapshot(self, request: Optional[Request] = None) -> ReplicaSnapshot:
@@ -596,11 +594,12 @@ class FleetEngine:
         """Pre-plan a pure-decode stretch and start its first iteration.
 
         The composition (and hence the plan object) is constant across the
-        stretch, so each iteration reuses it: completion applies the decode
-        commits directly, bulk-grows the KV reservations one token per
-        request and re-prices from cached FLOPs pairs — everything else the
-        naive :meth:`_kick` would redo (budget search, scheduler replan,
-        per-request admission checks) provably has no effect mid-stretch.
+        stretch, so each iteration reuses it: completion advances the
+        decodes through the batcher (which keeps its decode-FLOPs totals),
+        bulk-grows the KV reservations one token per request and re-prices
+        from those totals — everything else the naive :meth:`_kick` would
+        redo (budget search, scheduler replan, per-request admission checks)
+        provably has no effect mid-stretch.
         Durations are still priced one iteration at a time with the
         replica's *current* slowdown, so failure-injected slow windows keep
         their exact naive semantics.
@@ -614,13 +613,12 @@ class FleetEngine:
             replica.ff_done = 0
         batcher = pool.batcher
         running = batcher.running
-        replica.ff_contexts = [state.context_tokens for state in running]
         replica.ff_ids = [state.request.request_id for state in running]
         replica.ff_plan = IterationPlan(prefill=[], decode=list(running))
         replica.ff_steps = steps - 1  # beyond the one started right here
         # The reservations the naive plan() would have made for this step.
         pool.allocator.advance_decode_step(replica.ff_ids)
-        duration = pool.decode_iteration_time(replica.ff_contexts) * replica.slowdown
+        duration = pool.running_decode_time() * replica.slowdown
         replica.busy_plan = replica.ff_plan
         self._push(now + duration, _ITERATION, (replica.replica_id, replica.epoch, duration))
         return True
@@ -629,7 +627,8 @@ class FleetEngine:
         plan = replica.busy_plan
         stretch = plan is not None and plan is replica.ff_plan
         replica.busy_plan = None
-        utilization = replica.pool.allocator.token_utilization
+        pool = replica.pool
+        utilization = pool.allocator.token_utilization
         replica.kv_weighted += utilization * duration
         replica.busy_time += duration
         replica.kv_peak = max(replica.kv_peak, utilization)
@@ -649,7 +648,7 @@ class FleetEngine:
                 # at the crash site) instead of one sample per heap event.
                 replica.ff_done += 1
             else:
-                batcher = replica.pool.batcher
+                batcher = pool.batcher
                 obs.emit(
                     now, obs_events.ITERATION, replica.replica_id, None,
                     (
@@ -664,17 +663,12 @@ class FleetEngine:
         if stretch:
             # Exactly what batcher.commit() does for a pure-decode plan whose
             # requests all have further tokens to go: no departures, no
-            # release, just one decoded token each.
-            for state in plan.decode:
-                state.decoded += 1
+            # release, just one decoded token each (totals included).
+            pool.batcher.advance_decodes(plan.decode, 1)
             if replica.ff_steps > 0:
                 replica.ff_steps -= 1
-                contexts = replica.ff_contexts
-                for index in range(len(contexts)):
-                    contexts[index] += 1
-                pool = replica.pool
                 pool.allocator.advance_decode_step(replica.ff_ids)
-                next_duration = pool.decode_iteration_time(contexts) * replica.slowdown
+                next_duration = pool.running_decode_time() * replica.slowdown
                 replica.busy_plan = plan
                 self._push(
                     now + next_duration,
@@ -692,7 +686,7 @@ class FleetEngine:
             return
         prof = obs.profiler if obs is not None else None
         clock_start = prof.clock() if prof is not None else 0.0
-        departed = replica.pool.batcher.commit(plan, now)
+        departed = pool.batcher.commit(plan, now)
         if prof is not None:
             prof.add("commit", prof.clock() - clock_start)
         replica.requests_served += len(departed)

@@ -46,6 +46,20 @@ exact conservation law once a trace has fully drained::
 (including work later discarded by a preemption), and
 ``tokens_preempted_requeued`` by the admitted-but-not-yet-prefilled remainder
 a preemption sends back to the queue.
+
+Decode-FLOPs totals
+-------------------
+When the owning pool installs a :class:`DecodeFlopsTable`, the batcher keeps
+running ``(linear, attention)`` totals over its DECODE-phase requests at
+their current contexts, updated by exact deltas wherever ``decoded`` or
+``phase`` changes (prefill completion, decode commit, finish, preemption,
+decode-only admission and :meth:`ContinuousBatcher.advance_decodes`, which
+the engines' stretch commits call).  Every FLOPs component is an
+integer-valued float, so while a total stays below
+:data:`EXACT_FLOPS_BOUND` (2^53) it equals the ordered per-iteration fold
+bit for bit, in any order.  At or above the bound the totals are marked
+inexact and :meth:`ContinuousBatcher.decode_flops` falls back to the ordered
+fold, re-arming the totals from it once the fold is back below the bound.
 """
 
 from __future__ import annotations
@@ -54,7 +68,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import events as obs_events
 from ..obs.events import EventRecorder
@@ -70,7 +84,13 @@ __all__ = [
     "BatcherConfig",
     "IterationPlan",
     "ContinuousBatcher",
+    "DecodeFlopsTable",
+    "EXACT_FLOPS_BOUND",
 ]
+
+#: Sums of integer-valued floats are exact — hence independent of summation
+#: order — while every partial sum stays below this bound.
+EXACT_FLOPS_BOUND = 2.0 ** 53
 
 
 class Phase(Enum):
@@ -152,6 +172,10 @@ class IterationPlan:
 
     prefill: List[Tuple[RequestState, int]] = field(default_factory=list)
     decode: List[RequestState] = field(default_factory=list)
+    #: ``(linear, attention)`` FLOPs of the decode steps, taken from the
+    #: batcher's exact running totals when ``decode`` covers every
+    #: DECODE-phase request; ``None`` means price by the ordered fold.
+    decode_flops: Optional[Tuple[float, float]] = None
 
     @property
     def prefill_tokens(self) -> int:
@@ -169,6 +193,55 @@ class IterationPlan:
         """Remove a (just-preempted) request from the plan."""
         self.prefill = [(s, c) for s, c in self.prefill if s is not state]
         self.decode = [s for s in self.decode if s is not state]
+        self.decode_flops = None
+
+
+class DecodeFlopsTable:
+    """One model's decode-step FLOPs per context length, cached.
+
+    :meth:`pair` is one decode step's ``(linear, attention)`` FLOPs over a
+    context; :meth:`growth` how much that pair grows as the context gains
+    tokens.  ``sound`` stays ``True`` while every pair seen is
+    integer-valued and no growth is negative — the premise of exact running
+    totals; once it turns ``False`` no batcher trusts its totals again.
+    One table serves every pool of a model, so a context is priced once per
+    process.  Each cache holds at most :attr:`LIMIT` contexts and starts
+    over when full.
+    """
+
+    LIMIT = 1 << 17
+
+    __slots__ = ("flops_of", "pairs", "growths", "sound")
+
+    def __init__(self, flops_of: Callable[[int], Tuple[float, float]]):
+        self.flops_of = flops_of
+        self.pairs: Dict[int, Tuple[float, float]] = {}
+        #: One-token growths, keyed by the context before the token.
+        self.growths: Dict[int, Tuple[float, float]] = {}
+        self.sound = True
+
+    def pair(self, context_tokens: int) -> Tuple[float, float]:
+        pair = self.pairs.get(context_tokens)
+        if pair is None:
+            pair = self.flops_of(context_tokens)
+            if not (pair[0].is_integer() and pair[1].is_integer()):
+                self.sound = False
+            if len(self.pairs) >= self.LIMIT:
+                self.pairs.clear()
+            self.pairs[context_tokens] = pair
+        return pair
+
+    def growth(self, context_tokens: int, steps: int) -> Tuple[float, float]:
+        old = self.pair(context_tokens)
+        new = self.pair(context_tokens + steps)
+        growth = (new[0] - old[0], new[1] - old[1])
+        if growth[0] < 0 or growth[1] < 0:
+            self.sound = False
+        if steps == 1:
+            if len(self.growths) >= self.LIMIT:
+                self.growths.clear()
+            self.growths[context_tokens] = growth
+        return growth
 
 
 class ContinuousBatcher:
@@ -177,6 +250,8 @@ class ContinuousBatcher:
     ``prefill_only`` pools stop requests at prefill completion (phase
     ``HANDOFF``); ``decode_only`` pools admit requests whose context was
     prefilled elsewhere, reserving KV for the whole transferred context.
+    With a ``decode_table`` the batcher keeps the running decode-FLOPs
+    totals described in the module docstring.
     """
 
     def __init__(
@@ -187,6 +262,7 @@ class ContinuousBatcher:
         decode_only: bool = False,
         prefill_flops_of: Optional[Callable[[int, int], float]] = None,
         tenancy: Optional[TenancyConfig] = None,
+        decode_table: Optional[DecodeFlopsTable] = None,
     ):
         if prefill_only and decode_only:
             raise ValueError("a pool cannot be both prefill_only and decode_only")
@@ -233,6 +309,15 @@ class ContinuousBatcher:
         self.prefix_hit_requests = 0
         self.prefix_flops_saved = 0.0
         self.prefill_flops_executed = 0.0
+        # DECODE-phase requests in ``running``, and their running decode-FLOPs
+        # totals (see the module docstring), priced from ``decode_table``.
+        # ``_decode_exact``: the totals equal the exact sums, all below the
+        # bound.
+        self.decode_count = 0
+        self.decode_table = decode_table
+        self._decode_linear = 0.0
+        self._decode_attention = 0.0
+        self._decode_exact = decode_table is not None
         # Observability: the owning pool/engine installs the recorder, keeps
         # ``obs_track`` at this pool's track id (pool device or fleet replica
         # id) and advances ``now`` to the current iteration's planning time
@@ -392,6 +477,83 @@ class ContinuousBatcher:
         return best
 
     # ------------------------------------------------------------------
+    # Decode-FLOPs totals
+    # ------------------------------------------------------------------
+    def decode_flops(self) -> Tuple[float, float]:
+        """``(linear, attention)`` decode FLOPs of the DECODE-phase requests.
+
+        The running totals while they are exact; otherwise the ordered fold
+        over ``running``, which re-arms the totals once it is back below
+        :data:`EXACT_FLOPS_BOUND`.  Either way the value equals what the
+        ordered fold produces.
+        """
+        if not self._decode_exact:
+            table = self.decode_table
+            linear = 0.0
+            attention = 0.0
+            for state in self.running:
+                if state.phase is Phase.DECODE:
+                    pair = table.pair(state.context_tokens)
+                    linear += pair[0]
+                    attention += pair[1]
+            self._decode_linear = linear
+            self._decode_attention = attention
+            self._decode_exact = (
+                table.sound and linear < EXACT_FLOPS_BOUND and attention < EXACT_FLOPS_BOUND
+            )
+            return linear, attention
+        return self._decode_linear, self._decode_attention
+
+    def _count_decode(self, state: RequestState, sign: int) -> None:
+        """Add (``sign=1``) or remove (``-1``) one DECODE request and its pair.
+
+        Removing a pair the exact totals contain is exact; adding one is
+        exact unless the result reaches the bound, which marks the totals
+        inexact until :meth:`decode_flops` rebuilds them.
+        """
+        self.decode_count += sign
+        if not self._decode_exact:
+            return
+        table = self.decode_table
+        pair = table.pair(state.context_tokens)
+        linear = self._decode_linear + sign * pair[0]
+        attention = self._decode_attention + sign * pair[1]
+        self._decode_linear = linear
+        self._decode_attention = attention
+        self._decode_exact = (
+            table.sound and linear < EXACT_FLOPS_BOUND and attention < EXACT_FLOPS_BOUND
+        )
+
+    def advance_decodes(self, states: Sequence[RequestState], steps: int) -> None:
+        """Credit ``steps`` generated tokens to each DECODE-phase state.
+
+        The one place decode progress is committed — per iteration by
+        :meth:`commit`, per coalesced stretch by the engines — so the
+        running totals follow every context change.  Each growth is an
+        exact non-negative integer, so the partial sums only rise: the
+        final total below the bound proves every partial sum exact.
+        """
+        if not self._decode_exact:
+            for state in states:
+                state.decoded += steps
+            return
+        table = self.decode_table
+        cached = table.growths if steps == 1 else {}
+        linear = self._decode_linear
+        attention = self._decode_attention
+        for state in states:
+            context = state.record.request.prompt_tokens + state.decoded
+            state.decoded += steps
+            growth = cached.get(context) or table.growth(context, steps)
+            linear += growth[0]
+            attention += growth[1]
+        self._decode_linear = linear
+        self._decode_attention = attention
+        self._decode_exact = (
+            table.sound and linear < EXACT_FLOPS_BOUND and attention < EXACT_FLOPS_BOUND
+        )
+
+    # ------------------------------------------------------------------
     # Preemption
     # ------------------------------------------------------------------
     def _preempt_victim(self, plan: IterationPlan) -> Optional[RequestState]:
@@ -420,6 +582,8 @@ class ContinuousBatcher:
                 ),
             )
         self.running.remove(victim)
+        if victim.phase is Phase.DECODE:
+            self._count_decode(victim, -1)
         plan.drop(victim)
         self.allocator.evict(victim.request.request_id)
         self.preemptions += 1
@@ -450,24 +614,34 @@ class ContinuousBatcher:
         plan = IterationPlan()
         budget = cfg.max_batch_tokens
 
-        # 1. Decode steps: one token per running decode request, growing its
-        #    context by one block when needed; preempt on memory pressure.
+        # 1. Decode steps: one token per running decode request.  A growth
+        #    that fits the blocks the request holds is token bookkeeping
+        #    only; one crossing a block boundary acquires a block, in running
+        #    order, preempting on memory pressure.
+        allocator = self.allocator
+        preempted = False
         for state in list(self.running):
             if state.phase is not Phase.DECODE or budget <= 0:
                 continue
-            if state not in self.running:  # evicted by an earlier preemption
+            if preempted and state not in self.running:  # evicted earlier
                 continue
-            while not self.allocator.reserve(state.request.request_id, state.context_tokens):
-                victim = self._preempt_victim(plan)
-                if victim is None or victim is state:
-                    break
-            if state in self.running:
-                plan.decode.append(state)
-                budget -= 1
+            request = state.record.request
+            rid = request.request_id
+            context = request.prompt_tokens + state.decoded
+            if not allocator.grow_in_place(rid, context):
+                while not allocator.reserve(rid, context):
+                    preempted = True
+                    victim = self._preempt_victim(plan)
+                    if victim is None or victim is state:
+                        break
+                if state not in self.running:
+                    continue
+            plan.decode.append(state)
+            budget -= 1
 
         if self.decode_only:
             self._admit(plan, budget)
-            return plan
+            return self._attach_decode_flops(plan)
 
         # 2. Prefill chunks for already-running requests, oldest first.
         if prefill_budget is not None:
@@ -486,6 +660,14 @@ class ContinuousBatcher:
 
         # 3. Admission of new requests with the remaining budget.
         self._admit(plan, budget)
+        return self._attach_decode_flops(plan)
+
+    def _attach_decode_flops(self, plan: IterationPlan) -> IterationPlan:
+        """Attach the exact decode-FLOPs totals when the plan decodes them all."""
+        if self.decode_table is not None and len(plan.decode) == self.decode_count:
+            flops = self.decode_flops()
+            if self._decode_exact:
+                plan.decode_flops = flops
         return plan
 
     def _admit(self, plan: IterationPlan, budget: int) -> None:
@@ -596,6 +778,8 @@ class ContinuousBatcher:
                 self._virtual_tokens.get(tenant, 0.0) + work / weight
             )
         state.phase = phase
+        if phase is Phase.DECODE:
+            self._count_decode(state, 1)
         state.admission_index = self._admissions
         self._admissions += 1
         self.running.append(state)
@@ -660,13 +844,16 @@ class ContinuousBatcher:
                     )
             else:
                 state.phase = Phase.DECODE
+                self._count_decode(state, 1)
+        self.advance_decodes(plan.decode, 1)
         for state in plan.decode:
-            state.decoded += 1
-            if state.decoded >= state.request.output_tokens:
+            if state.decoded >= state.record.request.output_tokens:
                 self._finish(state, end_time, departed)
         return departed
 
     def _finish(self, state: RequestState, end_time: float, departed: List[RequestState]) -> None:
+        if state.phase is Phase.DECODE:
+            self._count_decode(state, -1)
         state.phase = Phase.FINISHED
         state.record.finish_time = end_time
         self.running.remove(state)

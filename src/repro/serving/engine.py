@@ -40,15 +40,21 @@ first finishing request, first un-satisfiable KV-block growth) and executes
 it in one coalesced inner loop that replays *bit-identical* per-iteration
 arithmetic — durations, KV-utilization integrals and timestamps come out
 byte-equal to the naive stepper, which stays available as the reference
-oracle via ``fast_forward=False``.  Iteration pricing itself is memoized on
-the exact batch composition (prefill chunks/offsets plus decode context
-lengths), so repeated compositions cost a dict lookup.
+oracle via ``fast_forward=False``.
+
+Iterations that do not coalesce are priced from the batcher's running
+decode-FLOPs totals (:meth:`ContinuousBatcher.decode_flops`): the decode
+part of an iteration and the prefill-budget search cost O(prefill chunks),
+not O(batch).  FLOPs components are integer-valued floats, so below
+:data:`~repro.serving.batcher.EXACT_FLOPS_BOUND` (2^53) the totals equal the
+ordered per-iteration fold bit for bit; at or above it pricing takes that
+ordered fold instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..hardware.comm import CommModel
@@ -62,7 +68,15 @@ from ..model.flops import FlopsBreakdown, layer_forward_flops, output_layer_flop
 from ..model.memory import kv_cache_bytes_per_token_per_layer
 from ..schedules.base import Pass
 from ..sim.timeline import Timeline, TimelineSpan
-from .batcher import BatcherConfig, ContinuousBatcher, IterationPlan, Phase, RequestState
+from .batcher import (
+    EXACT_FLOPS_BOUND,
+    BatcherConfig,
+    ContinuousBatcher,
+    DecodeFlopsTable,
+    IterationPlan,
+    Phase,
+    RequestState,
+)
 from .columnar import DecodeColumns
 from .metrics import SLO, RequestRecord, ServingMetrics, StreamingMetrics, TenantMetrics
 from .paged_kv import PagedKVAllocator
@@ -192,10 +206,17 @@ COLUMNAR_MIN_BATCH = 64
 
 
 @lru_cache(maxsize=1 << 17)
-def _decode_flops_cached(model: ModelConfig, context_tokens: int) -> FlopsBreakdown:
-    """One decode step's FLOPs (one query token over ``context_tokens`` keys)."""
+def _decode_flops_cached(model: ModelConfig, context_tokens: int) -> Tuple[float, float]:
+    """One decode step's ``(linear, attention)`` FLOPs over ``context_tokens`` keys."""
     flops = layer_forward_flops(model, 1, context_tokens) * model.num_layers
-    return flops + output_layer_flops(model, 1)
+    flops = flops + output_layer_flops(model, 1)
+    return flops.linear, flops.attention
+
+
+@lru_cache(maxsize=None)
+def _decode_table(model: ModelConfig) -> DecodeFlopsTable:
+    """The decode FLOPs table shared by every pool serving ``model``."""
+    return DecodeFlopsTable(partial(_decode_flops_cached, model))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -245,6 +266,7 @@ class _Pool:
             decode_only=decode_only,
             prefill_flops_of=prefill_flops_of,
             tenancy=config.tenancy,
+            decode_table=_decode_table(model),
         )
         # Observability (None keeps every emit site dormant).  The batcher
         # shares the pool's recorder; its track id is set when the pool runs
@@ -263,10 +285,6 @@ class _Pool:
         self._fwd_attention_rate = gpu.peak_flops * gpu.attention_efficiency_forward
         self._intensity_knee = gpu.intensity_tokens
         self._launch_overhead = gpu.kernel_launch_overhead
-        # (linear, attention) FLOPs component pairs per decode context length,
-        # and memoized iteration durations per exact batch composition.
-        self._decode_pairs: Dict[int, Tuple[float, float]] = {}
-        self._duration_cache: Dict[tuple, float] = {}
         # Columnar snapshot of the batch behind the most recent successful
         # stretch plan; the stretch executor reuses it for the bulk commit.
         self._stretch_columns: Optional[DecodeColumns] = None
@@ -302,14 +320,6 @@ class _Pool:
     # ------------------------------------------------------------------
     # Iteration pricing
     # ------------------------------------------------------------------
-    def _decode_pair(self, context_tokens: int) -> Tuple[float, float]:
-        pair = self._decode_pairs.get(context_tokens)
-        if pair is None:
-            flops = _decode_flops_cached(self.model, context_tokens)
-            pair = (flops.linear, flops.attention)
-            self._decode_pairs[context_tokens] = pair
-        return pair
-
     def _pair_time(self, linear: float, attention: float, batch_tokens: int) -> float:
         """Iteration duration from summed (linear, attention) FLOPs components.
 
@@ -338,50 +348,57 @@ class _Pool:
         """Duration of one pure-decode iteration over the given contexts."""
         linear = 0.0
         attention = 0.0
-        pairs = self._decode_pairs
+        table = self.batcher.decode_table
+        pairs = table.pairs
         for context in contexts:
             pair = pairs.get(context)
             if pair is None:
-                pair = self._decode_pair(context)
+                pair = table.pair(context)
             linear += pair[0]
             attention += pair[1]
         return self._pair_time(linear, attention, len(contexts))
 
+    def running_decode_time(self) -> float:
+        """Duration of one pure-decode iteration over the running decodes.
+
+        Priced from the batcher's decode totals, so it equals
+        :meth:`decode_iteration_time` over their contexts in running order.
+        """
+        linear, attention = self.batcher.decode_flops()
+        return self._pair_time(linear, attention, self.batcher.decode_count)
+
     def iteration_time(self, plan: IterationPlan) -> float:
-        # Memoize on the exact batch composition: the FLOPs fold depends only
-        # on the ordered prefill (chunk, offset, completes) triples and the
-        # ordered decode context lengths, and the roll-off on batch_tokens,
-        # which those determine.
-        key = (
-            tuple(
-                (chunk, state.prefilled, state.prefilled + chunk >= state.prefill_target)
-                for state, chunk in plan.prefill
-            ),
-            tuple(state.context_tokens for state in plan.decode),
-        )
-        duration = self._duration_cache.get(key)
-        if duration is None:
-            linear = 0.0
-            attention = 0.0
-            for chunk, offset, completes in key[0]:
-                flops = _prefill_flops_cached(self.model, chunk, offset, completes)
-                linear += flops.linear
-                attention += flops.attention
-            for context in key[1]:
-                pair = self._decode_pair(context)
-                linear += pair[0]
-                attention += pair[1]
-            duration = self._pair_time(linear, attention, plan.batch_tokens)
-            # Keys are O(batch) tuples and unique compositions scale with the
-            # iteration count, so a large bound makes peak memory grow with
-            # trace length.  The memo's value is within-iteration reuse (the
-            # prefill-budget search prices ~10 candidate plans per iteration);
-            # cross-iteration repeats are rare at scale, so a small bound
-            # keeps peak memory flat with no measurable throughput cost.
-            if len(self._duration_cache) >= (1 << 12):
-                self._duration_cache.clear()
-            self._duration_cache[key] = duration
-        return duration
+        """Duration of one planned iteration.
+
+        The reference arithmetic is the ordered fold: prefill chunks, then
+        decode pairs, summed per component from zero.  When the plan carries
+        the batcher's exact decode totals, the prefill chunks are summed and
+        the totals added once; with integer-valued components and a result
+        below :data:`EXACT_FLOPS_BOUND` both sums are the same exact integer.
+        """
+        linear = 0.0
+        attention = 0.0
+        integral = True
+        for state, chunk in plan.prefill:
+            flops = _prefill_flops_cached(
+                self.model, chunk, state.prefilled,
+                state.prefilled + chunk >= state.prefill_target,
+            )
+            linear += flops.linear
+            attention += flops.attention
+            integral = integral and flops.linear.is_integer() and flops.attention.is_integer()
+        decode = plan.decode_flops
+        if decode is not None and integral:
+            total_linear = linear + decode[0]
+            total_attention = attention + decode[1]
+            if total_linear < EXACT_FLOPS_BOUND and total_attention < EXACT_FLOPS_BOUND:
+                return self._pair_time(total_linear, total_attention, plan.batch_tokens)
+        table = self.batcher.decode_table
+        for state in plan.decode:
+            pair = table.pair(state.context_tokens)
+            linear += pair[0]
+            attention += pair[1]
+        return self._pair_time(linear, attention, plan.batch_tokens)
 
     def prefill_budget(self) -> Optional[int]:
         """SLO-aware prefill budget for the next iteration.
@@ -393,29 +410,25 @@ class _Pool:
         starve outright.
         """
         cap = self.config.tpot_cap
-        if cap is None or self.batcher.decode_only:
+        batcher = self.batcher
+        if cap is None or batcher.decode_only:
             return None
-        decodes = [s for s in self.batcher.running if s.phase is Phase.DECODE]
-        if not decodes:
+        num_decodes = batcher.decode_count
+        if not num_decodes:
             return None
         # Price the hypothetical chunk at the deepest in-flight prefill
         # offset: long contexts make the chunk's attention cost dwarf its
         # linear cost, and estimating at offset 0 would approve budgets that
-        # blow the cap by orders of magnitude at 512K contexts.
-        kv_offset = max(
-            (s.prefilled for s in self.batcher.running if s.phase is Phase.PREFILL),
-            default=0,
-        )
-        num_decodes = len(decodes)
-
-        # Cached component pairs (this estimator runs on every iteration with
-        # a running decode, so it is as hot as the pricing itself).
-        base_linear = 0.0
-        base_attention = 0.0
-        for state in decodes:
-            pair = self._decode_pair(state.context_tokens)
-            base_linear += pair[0]
-            base_attention += pair[1]
+        # blow the cap by orders of magnitude at 512K contexts.  Every
+        # running request not decoding is prefilling.
+        kv_offset = 0
+        if len(batcher.running) > num_decodes:
+            kv_offset = max(
+                s.prefilled for s in batcher.running if s.phase is Phase.PREFILL
+            )
+        # The decode steps' FLOPs: the batcher's running totals (equal to the
+        # ordered fold over the running decodes; see ``decode_flops``).
+        base_linear, base_attention = batcher.decode_flops()
         num_layers = self.model.num_layers
 
         def estimate(prefill_tokens: int) -> float:
@@ -466,21 +479,22 @@ class _Pool:
             return 0
         running = batcher.running
         n = len(running)
-        if n == 0 or n > self.config.batcher.max_batch_tokens:
+        if n == 0 or n > self.config.batcher.max_batch_tokens or n != batcher.decode_count:
             return 0
         allocator = self.allocator
         limit: Optional[int] = None
         for state in running:
-            if state.phase is not Phase.DECODE:
-                return 0
-            # The stretch arithmetic assumes the steady decode invariant
+            # Every running request is decoding (the count check above).  The
+            # stretch arithmetic assumes the steady decode invariant
             # "reservation == context - 1" (the token being generated claims
             # its slot next step).  A request that just re-prefilled a
             # crash-transferred context still reserves its full context until
             # its first decode commit — step that iteration naively.
-            if allocator.tokens_of(state.request.request_id) != state.context_tokens - 1:
+            request = state.record.request
+            context = request.prompt_tokens + state.decoded
+            if allocator.tokens_of(request.request_id) != context - 1:
                 return 0
-            remaining = state.request.output_tokens - state.decoded
+            remaining = request.output_tokens - state.decoded
             if limit is None or remaining < limit:
                 limit = remaining
         steps = limit - 1
@@ -630,8 +644,7 @@ class _Pool:
                         raise RuntimeError(
                             f"serving loop exceeded {max_iterations} iterations"
                         )
-                    for index in range(n):
-                        contexts[index] += 1
+                    contexts = [context + 1 for context in contexts]
                     steps += 1
                     if horizon is not None and horizon <= now + 1e-12:
                         break
@@ -639,24 +652,24 @@ class _Pool:
                 # reserved context - 1 tokens per request (the token it
                 # generated claims its slot next step).  Large batches commit
                 # through the columnar plan (every new total and block delta
-                # in one vectorized pass); small ones reserve per request —
-                # the two are exactly equivalent (``bulk_reserve_decode``
-                # replays ``reserve``'s bookkeeping in the same order).
+                # in one vectorized pass); small ones grow per request,
+                # reserving only across block boundaries — the two are
+                # exactly equivalent (``bulk_reserve_decode`` replays
+                # ``reserve``'s bookkeeping in the same order).
                 columns = self._stretch_columns
+                batcher.advance_decodes(running, steps)
                 if columns is None:
                     for state in running:
-                        state.decoded += steps
-                        allocator.reserve(
-                            state.request.request_id, state.context_tokens - 1
-                        )
+                        rid = state.record.request.request_id
+                        reserved = state.context_tokens - 1
+                        if not allocator.grow_in_place(rid, reserved):
+                            allocator.reserve(rid, reserved)
                 else:
                     new_totals, extra_blocks = columns.commit_plan(steps)
                     allocator.bulk_reserve_decode(
                         columns.request_ids, new_totals, extra_blocks
                     )
                     self._stretch_columns = None
-                    for state in running:
-                        state.decoded += steps
                 if prof is not None:
                     prof.add("fast-forward", prof.clock() - clock_start)
                 if obs is not None:

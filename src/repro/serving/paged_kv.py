@@ -301,6 +301,28 @@ class PagedKVAllocator:
         self._stored += new_total_tokens - current
         return True
 
+    def grow_in_place(self, request_id: Hashable, new_total_tokens: int) -> bool:
+        """Grow a reservation within the blocks it already holds.
+
+        Exactly :meth:`reserve`'s bookkeeping for a growth that needs no
+        block (the common decode step: a request crosses a block boundary
+        once every ``block_tokens`` tokens).  Returns ``False`` without side
+        effects when the growth needs a block, or when the request holds no
+        private table yet — the caller then goes through :meth:`reserve`.
+        """
+        table = self._tables.get(request_id)
+        if table is None:
+            return False
+        current = self._tokens[request_id]
+        held = len(table)
+        if self.prefix is not None:
+            held += self.prefix.refs_of(request_id)
+        if not current <= new_total_tokens <= held * self.block_tokens:
+            return False
+        self._tokens[request_id] = new_total_tokens
+        self._stored += new_total_tokens - current
+        return True
+
     def advance_decode_step(self, request_ids: List[Hashable]) -> None:
         """Grow every reservation by exactly one token (one bulk decode step).
 
