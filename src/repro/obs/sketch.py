@@ -46,7 +46,9 @@ def interpolate(ordered: Sequence[float], q: float) -> float:
     lo = int(rank)
     hi = min(lo + 1, len(ordered) - 1)
     frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+    low, high = ordered[lo], ordered[hi]
+    # The weighted sum can round one ulp outside its bracket; clamp it back.
+    return min(max(low * (1.0 - frac) + high * frac, low), high)
 
 
 class P2Quantile:

@@ -21,7 +21,7 @@ the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..core.context_exchange import exchange_volume_per_microbatch
 from ..core.slicing import SliceSpec, uniform_slices
@@ -109,6 +109,24 @@ class PipelineModelSpec:
                 f"{self.model.num_layers} layers are not divisible into "
                 f"{self.num_stages} stages"
             )
+        c = self.parallel.context_parallel_size
+        if self.sequence_length % c != 0:
+            raise ValueError(
+                f"sequence length {self.sequence_length} not divisible by CP size {c}"
+            )
+        device_tokens = self.sequence_length // c
+        if self.num_slices > device_tokens:
+            raise ValueError(
+                f"num_slices {self.num_slices} exceeds the {device_tokens} "
+                f"per-device tokens (sequence {self.sequence_length} / CP size {c})"
+            )
+        # Uniform slicing fixes every slice up front, so ``slice_of`` is a lookup.
+        object.__setattr__(
+            self, "_slices", tuple(uniform_slices(device_tokens, self.num_slices))
+        )
+        object.__setattr__(
+            self, "_whole_sequence", SliceSpec(index=0, start=0, length=device_tokens)
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -118,22 +136,17 @@ class PipelineModelSpec:
     @property
     def device_sequence_length(self) -> int:
         """Per-device share of the sequence under context parallelism."""
-        c = self.parallel.context_parallel_size
-        if self.sequence_length % c != 0:
-            raise ValueError(
-                f"sequence length {self.sequence_length} not divisible by CP size {c}"
-            )
-        return self.sequence_length // c
+        return self._whole_sequence.length
 
     def slices(self) -> List[SliceSpec]:
         """Uniform slices of the per-device sequence."""
-        return uniform_slices(self.device_sequence_length, self.num_slices)
+        return list(self._slices)
 
     def slice_of(self, work: Pass) -> SliceSpec:
         """The sequence slice a pass operates on (whole sequence when unsliced)."""
         if work.slice_index is None:
-            return SliceSpec(index=0, start=0, length=self.device_sequence_length)
-        return self.slices()[work.slice_index]
+            return self._whole_sequence
+        return self._slices[work.slice_index]
 
     def is_first_stage(self, work: Pass) -> bool:
         return work.stage == 0
@@ -150,6 +163,10 @@ class ModelCostProvider:
     """Price passes of a pipeline schedule in seconds.
 
     Implements the :class:`~repro.sim.engine.PassCostProvider` protocol.
+    Every stage holds the same layers, so a pass's price depends only on its
+    kind, its slice and whether it runs on the last stage (which adds the
+    output layer): :meth:`duration` prices each such key once per provider,
+    and :meth:`comm_delay` each consumer slice once.
     """
 
     def __init__(
@@ -172,6 +189,8 @@ class ModelCostProvider:
         self._mean_attention_units = (
             sum(s.attention_units() for s in self._slices) / len(self._slices)
         )
+        self._durations: Dict[Tuple[PassKind, Optional[int], bool], float] = {}
+        self._comm_delays: Dict[Optional[int], float] = {}
 
     # ------------------------------------------------------------------
     # FLOPs of one pass
@@ -221,6 +240,13 @@ class ModelCostProvider:
     # PassCostProvider protocol
     # ------------------------------------------------------------------
     def duration(self, work: Pass) -> float:
+        key = (work.kind, work.slice_index, self.spec.is_last_stage(work))
+        time = self._durations.get(key)
+        if time is None:
+            time = self._durations[key] = self._duration(work)
+        return time
+
+    def _duration(self, work: Pass) -> float:
         spec = self.spec
         sl = spec.slice_of(work)
         flops = self._layer_flops(work)
@@ -278,6 +304,13 @@ class ModelCostProvider:
     def comm_delay(self, producer: Pass, consumer: Pass) -> float:
         if not self.include_pipeline_comm or producer.device == consumer.device:
             return 0.0
+        delay = self._comm_delays.get(consumer.slice_index)
+        if delay is None:
+            delay = self._comm_delays[consumer.slice_index] = self._boundary_delay(consumer)
+        return delay
+
+    def _boundary_delay(self, consumer: Pass) -> float:
+        """Point-to-point time of the activation boundary ``consumer`` receives."""
         spec = self.spec
         sl = spec.slice_of(consumer)
         boundary_bytes = (
@@ -299,7 +332,8 @@ class ModelActivationAccountant:
     Implements the :class:`~repro.sim.memory_tracker.ActivationAccountant`
     protocol.  The fp32 logits of the loss are attributed to the last-stage
     forward pass (divided by the number of vocabulary shards when vocabulary
-    parallelism is enabled).
+    parallelism is enabled).  Stored bytes are computed once per (slice,
+    last stage) and transient bytes once per (kind, slice).
     """
 
     def __init__(
@@ -313,6 +347,8 @@ class ModelActivationAccountant:
         self.cluster = cluster
         self.include_model_states = include_model_states
         self.keep_kv_cache = keep_kv_cache
+        self._stored: Dict[Tuple[Optional[int], bool], float] = {}
+        self._transient: Dict[Tuple[PassKind, Optional[int]], float] = {}
 
     # ------------------------------------------------------------------
     def _per_token_layer_bytes(self) -> float:
@@ -335,6 +371,14 @@ class ModelActivationAccountant:
     def stored_bytes(self, work: Pass) -> float:
         if work.kind is not PassKind.FORWARD:
             return 0.0
+        key = (work.slice_index, self.spec.is_last_stage(work))
+        stored = self._stored.get(key)
+        if stored is None:
+            stored = self._stored[key] = self._stored_bytes(work)
+        return stored
+
+    def _stored_bytes(self, work: Pass) -> float:
+        """Activation bytes a forward pass leaves stored until its backward."""
         spec = self.spec
         sl = spec.slice_of(work)
         per_layer = self._per_token_layer_bytes()
@@ -357,6 +401,13 @@ class ModelActivationAccountant:
         return stored
 
     def transient_bytes(self, work: Pass) -> float:
+        key = (work.kind, work.slice_index)
+        transient = self._transient.get(key)
+        if transient is None:
+            transient = self._transient[key] = self._transient_bytes(work)
+        return transient
+
+    def _transient_bytes(self, work: Pass) -> float:
         spec = self.spec
         sl = spec.slice_of(work)
         if work.is_backward and spec.recompute is not RecomputeMode.NONE:

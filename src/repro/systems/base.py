@@ -15,7 +15,10 @@ Every system implements
   recompute policy, MFU) for one configuration,
 
 and inherits :meth:`TrainingSystem.best_configuration`, the grid search that
-keeps the feasible estimate with the highest MFU.  Infeasibility is reported
+keeps the feasible estimate with the highest MFU.  The search shares one
+memoizing :class:`~repro.systems.estimator.AnalyticEstimator` across its
+candidates (:meth:`TrainingSystem.estimator`); a direct ``evaluate`` call
+outside a search gets a fresh one.  Infeasibility is reported
 the way the paper's Figure 12 annotates it: ``"oom"`` when configurations
 exist but none fits memory, ``"no-configuration"`` when the search space is
 empty (e.g. the batch is too small for the required data parallelism).
@@ -31,6 +34,7 @@ from ..hardware.topology import ClusterTopology
 from ..model.config import ModelConfig
 from ..model.memory import RecomputeMode
 from ..parallel.config import ParallelConfig, WorkloadConfig
+from .estimator import AnalyticEstimator, EstimatorSettings
 
 __all__ = ["SystemEstimate", "TrainingSystem", "INFEASIBLE_OOM", "INFEASIBLE_NO_CONFIG"]
 
@@ -88,6 +92,9 @@ class TrainingSystem(ABC):
 
     #: Overridden by subclasses ("megatron-lm", "deepspeed", "slimpipe").
     name: str = "training-system"
+    settings: EstimatorSettings = EstimatorSettings()
+    #: The estimator of the grid search in progress (``None`` outside one).
+    _search_estimator: Optional[AnalyticEstimator] = None
 
     # ------------------------------------------------------------------
     @abstractmethod
@@ -119,19 +126,24 @@ class TrainingSystem(ABC):
         """Grid search: the feasible configuration with the highest MFU.
 
         Mirrors the paper's methodology ("their hybrid parallelism
-        configurations are baked through grid search").
+        configurations are baked through grid search").  Every candidate is
+        priced by one estimator, whose memo ends with the search.
         """
         best: Optional[SystemEstimate] = None
         saw_candidate = False
         saw_oom = False
-        for parallel in self.candidate_configs(model, cluster, workload):
-            saw_candidate = True
-            estimate = self.evaluate(model, cluster, workload, parallel)
-            if not estimate.feasible:
-                saw_oom = saw_oom or estimate.reason == INFEASIBLE_OOM
-                continue
-            if best is None or estimate.mfu > best.mfu:
-                best = estimate
+        self._search_estimator = AnalyticEstimator(model, cluster, self.settings)
+        try:
+            for parallel in self.candidate_configs(model, cluster, workload):
+                saw_candidate = True
+                estimate = self.evaluate(model, cluster, workload, parallel)
+                if not estimate.feasible:
+                    saw_oom = saw_oom or estimate.reason == INFEASIBLE_OOM
+                    continue
+                if best is None or estimate.mfu > best.mfu:
+                    best = estimate
+        finally:
+            self._search_estimator = None
         if best is not None:
             return best
         if saw_candidate and saw_oom:
@@ -139,6 +151,13 @@ class TrainingSystem(ABC):
         return _infeasible(self.name, INFEASIBLE_NO_CONFIG)
 
     # ------------------------------------------------------------------
+    def estimator(self, model: ModelConfig, cluster: ClusterTopology) -> AnalyticEstimator:
+        """The running search's estimator for (model, cluster), else a fresh one."""
+        search = self._search_estimator
+        if search is not None and search.model is model and search.cluster is cluster:
+            return search
+        return AnalyticEstimator(model, cluster, self.settings)
+
     def infeasible(self, reason: str) -> SystemEstimate:
         """Convenience for subclasses."""
         return _infeasible(self.name, reason)

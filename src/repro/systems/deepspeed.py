@@ -29,7 +29,7 @@ from ..model.memory import RecomputeMode, activation_bytes_per_token_per_layer
 from ..parallel.config import ParallelConfig, WorkloadConfig
 from ..parallel.search import divisors
 from .base import INFEASIBLE_NO_CONFIG, INFEASIBLE_OOM, SystemEstimate, TrainingSystem
-from .estimator import AnalyticEstimator, EstimatorSettings
+from .estimator import EstimatorSettings
 
 __all__ = ["DeepSpeedSystem"]
 
@@ -89,7 +89,7 @@ class DeepSpeedSystem(TrainingSystem):
         workload: WorkloadConfig,
         parallel: ParallelConfig,
     ) -> SystemEstimate:
-        estimator = AnalyticEstimator(model, cluster, self.settings)
+        estimator = self.estimator(model, cluster)
         usable = estimator.usable_memory_bytes()
         u = parallel.context_parallel_size
         d = parallel.data_parallel_size

@@ -18,12 +18,20 @@ all price a configuration from the same ingredients:
 
 Every method documents the formula it implements so the system models stay
 thin and auditable.
+
+An estimator memoizes each per-configuration term on the
+:class:`ParallelConfig` fields that term reads (``parallel_fields`` on the
+method) plus its other arguments, so a grid search that shares one estimator
+across its candidates prices each distinct term once.  The memo lives as long
+as the estimator: the systems build one per search.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from operator import attrgetter
+from typing import Dict, Optional, Tuple
 
 from ..constants import GIB, DType
 from ..hardware.comm import CommModel
@@ -76,6 +84,41 @@ class EstimatorSettings:
     optimizer: OptimizerSpec = ADAM_MIXED_PRECISION
 
 
+def _memoized(*parallel_fields: str):
+    """Memoize an estimator term on ``parallel_fields`` and its other arguments.
+
+    The term must read no :class:`ParallelConfig` field outside
+    ``parallel_fields``; ``__wrapped__`` is the un-memoized term.
+    """
+    fields_of = attrgetter(*parallel_fields)
+
+    def decorate(term):
+        name = term.__name__
+
+        @functools.wraps(term)
+        def memoized(self, parallel: ParallelConfig, *args, **kwargs):
+            key = (name, fields_of(parallel), args, tuple(kwargs.items()))
+            try:
+                return self._memo[key]
+            except KeyError:
+                value = self._memo[key] = term(self, parallel, *args, **kwargs)
+                return value
+
+        memoized.parallel_fields = parallel_fields
+        return memoized
+
+    return decorate
+
+
+_T, _C, _D, _E, _P = (
+    "tensor_parallel_size",
+    "context_parallel_size",
+    "data_parallel_size",
+    "expert_parallel_size",
+    "pipeline_parallel_size",
+)
+
+
 class AnalyticEstimator:
     """Compute / communication / memory arithmetic for one (model, cluster)."""
 
@@ -90,6 +133,7 @@ class AnalyticEstimator:
         self.settings = settings
         self.cost_model = CostModel(cluster.gpu)
         self.comm = CommModel(cluster)
+        self._memo: Dict[tuple, object] = {}
 
     # ==================================================================
     # Compute
@@ -124,6 +168,7 @@ class AnalyticEstimator:
         )
         return total * share
 
+    @_memoized(_T, _C, _P)
     def microbatch_compute_seconds(
         self,
         parallel: ParallelConfig,
@@ -208,6 +253,7 @@ class AnalyticEstimator:
     def _intra_domain(self, size: int):
         return self.comm.domain(size, intra_node=self.cluster.fits_in_node(size))
 
+    @_memoized(_T, _C, _P)
     def tp_comm_seconds_per_microbatch(
         self, parallel: ParallelConfig, sequence_length: int
     ) -> float:
@@ -229,6 +275,7 @@ class AnalyticEstimator:
         layers_per_device = self.model.num_layers / parallel.pipeline_parallel_size
         return self.settings.tp_exposed_fraction * per_layer * layers_per_device
 
+    @_memoized(_T, _C, _P)
     def cp_comm_seconds_per_microbatch(
         self, parallel: ParallelConfig, sequence_length: int
     ) -> float:
@@ -255,6 +302,7 @@ class AnalyticEstimator:
         layers_per_device = self.model.num_layers / parallel.pipeline_parallel_size
         return layers_per_device * self.comm.p2p_time(volume, intra_node=intra)
 
+    @_memoized(_T, _C, _E, _P)
     def ep_comm_seconds_per_microbatch(
         self, parallel: ParallelConfig, sequence_length: int
     ) -> float:
@@ -275,6 +323,7 @@ class AnalyticEstimator:
         # 2 all-to-alls forward (dispatch + combine) and 2 backward.
         return 4 * layers_per_device * self.comm.all_to_all_time(token_bytes, domain)
 
+    @_memoized(_T, _C, _D, _P)
     def pp_comm_seconds_per_microbatch(
         self, parallel: ParallelConfig, sequence_length: int, passes_per_microbatch: int = 1
     ) -> float:
@@ -297,6 +346,7 @@ class AnalyticEstimator:
         per_pass = boundary_bytes / passes_per_microbatch
         return 4 * passes_per_microbatch * self.comm.p2p_time(per_pass, intra_node=intra)
 
+    @_memoized(_T, _D, _E, _P)
     def dp_sync_seconds(self, parallel: ParallelConfig) -> float:
         """Exposed data-parallel gradient synchronisation per iteration.
 
@@ -369,6 +419,7 @@ class AnalyticEstimator:
         vocab = self.model.embedding_params() / parallel.tensor_parallel_size
         return layers * per_layer + vocab / parallel.pipeline_parallel_size
 
+    @_memoized(_T, _D, _E, _P)
     def model_state_bytes(
         self, parallel: ParallelConfig, vocab_parallel: bool = False
     ) -> float:
@@ -393,6 +444,7 @@ class AnalyticEstimator:
             worst = max(worst, states.total)
         return worst
 
+    @_memoized(_T, _C)
     def microbatch_activation_bytes(
         self, parallel: ParallelConfig, sequence_length: int, recompute: RecomputeMode
     ) -> float:
@@ -410,6 +462,7 @@ class AnalyticEstimator:
         tokens = sequence_length / parallel.context_parallel_size
         return per_token_layer * tokens * self.model.num_layers
 
+    @_memoized(_T, _C)
     def loss_logits_bytes(
         self, parallel: ParallelConfig, sequence_length: int, vocab_shards: int = 1
     ) -> float:

@@ -161,7 +161,7 @@ class _PipelineSystem(TrainingSystem):
         except ValueError:
             return self.infeasible(INFEASIBLE_OOM)
 
-        estimator = AnalyticEstimator(model, cluster, self.settings)
+        estimator = self.estimator(model, cluster)
         usable = estimator.usable_memory_bytes()
         sequence = workload.microbatch_tokens()
         vocab_shards = self._vocab_shards(parallel)

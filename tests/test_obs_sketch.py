@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.sketch import P2Quantile, QuantileSketch
+from repro.obs.sketch import P2Quantile, QuantileSketch, interpolate
 from repro.serving.metrics import PercentileSummary
 
 _SAMPLES = st.lists(
@@ -55,6 +55,16 @@ def test_p2_error_bounded_for_arbitrary_streams(values, q):
     lo = exact.at(max(0.0, q - rank_tol) * 100.0) - slack
     hi = exact.at(min(1.0, q + rank_tol) * 100.0) + slack
     assert lo <= estimate <= hi
+
+
+def test_p2_estimate_stays_within_sample_range_at_rounding_edge():
+    # The interpolation weights once rounded this estimate one ulp above max.
+    values = [0.0, 999999.9999999999, 999999.9999999999]
+    sketch = P2Quantile(0.9)
+    for value in values:
+        sketch.add(value)
+    assert sketch.value() == max(values)
+    assert interpolate(sorted(values), 0.9) == max(values)
 
 
 @settings(max_examples=30, deadline=None)

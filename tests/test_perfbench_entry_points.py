@@ -31,6 +31,8 @@ def test_install_and_uninstall_every_traced_entry_point(perfbench_modules):
     layers, tracer = perfbench_modules
     from repro.fleet import cluster
     from repro.serving import engine, metrics
+    from repro.sim import providers
+    from repro.systems import pipeline_systems
 
     wrapped = {
         (metrics.StreamingMetrics, "observe"),
@@ -41,6 +43,10 @@ def test_install_and_uninstall_every_traced_entry_point(perfbench_modules):
         (engine._Pool, "decode_stretch_length"),
         (engine._Pool, "run"),
         (cluster.FleetEngine, "run"),
+        (providers.ModelCostProvider, "duration"),
+        (providers.ModelCostProvider, "comm_delay"),
+        (providers.ModelActivationAccountant, "stored_bytes"),
+        (pipeline_systems._PipelineSystem, "evaluate"),
     }
     originals = {(owner, name): owner.__dict__[name] for owner, name in wrapped}
     compute_metrics = metrics.compute_metrics

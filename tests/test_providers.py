@@ -4,6 +4,7 @@ import pytest
 
 from repro.constants import GIB
 from repro.core.schedule import build_slimpipe_schedule
+from repro.core.slicing import uniform_slices
 from repro.hardware.topology import hopper_cluster
 from repro.model.config import LLAMA_13B
 from repro.model.costs import PassKind
@@ -90,6 +91,27 @@ class TestPipelineModelSpec:
     def test_exposed_fraction_validated(self, parallel):
         with pytest.raises(ValueError):
             make_spec(parallel, exchange_exposed_fraction=1.5)
+
+    def test_sequence_not_divisible_by_cp_fails_at_construction(self):
+        parallel = ParallelConfig(
+            tensor_parallel_size=4, context_parallel_size=3, pipeline_parallel_size=4
+        )
+        with pytest.raises(ValueError, match="not divisible by CP size 3"):
+            make_spec(parallel)
+
+    def test_more_slices_than_device_tokens_fails_at_construction(self):
+        parallel = ParallelConfig(
+            tensor_parallel_size=4, context_parallel_size=2, pipeline_parallel_size=4
+        )
+        with pytest.raises(ValueError, match="num_slices 9 exceeds the 8 per-device tokens"):
+            make_spec(parallel, sequence_length=16, num_slices=9)
+        assert make_spec(parallel, sequence_length=16, num_slices=8).num_slices == 8
+
+    def test_slice_of_is_the_uniform_slice(self, parallel):
+        spec = make_spec(parallel)
+        assert [spec.slice_of(fwd(0, s)) for s in range(8)] == uniform_slices(
+            spec.device_sequence_length, 8
+        )
 
 
 class TestModelCostProvider:
