@@ -76,12 +76,15 @@ that runs grids:
   ``$REPRO_SWEEP_CACHE_DIR`` (default ``~/.cache/repro-sweep``), one file
   per spec name, keyed by a stable hash of (evaluator, point) and stamped
   with a fingerprint over every modelled constant (GPU spec, estimator
-  settings, model registry, scheme formulas, serving scenarios).  Changing
-  any such constant invalidates the file wholesale; ``--no-cache`` bypasses
+  settings, model registry, serving scenarios) and the numeric-core source
+  (scheme formulas, cost models, the serving and fleet layers).  Changing
+  any of them invalidates the file wholesale; ``--no-cache`` bypasses
   memoization.
 * **Goldens.**  ``repro.sweep.golden`` pins the headline numbers of every
   figure/table and the serving scenarios' TTFT/TPOT/goodput as JSON under
-  ``tests/goldens/`` (same fingerprint stamp).  ``pytest tests -k golden``
+  ``tests/goldens/``, stamped with the constants part of that fingerprint
+  only (a source edit that moves a number fails on the values; one that
+  moves none re-stamps nothing).  ``pytest tests -k golden``
   recomputes and diffs them within tolerance; after an intentional change,
   regenerate with ``python -m repro.cli sweep golden --regenerate`` and
   commit the rewritten files.

@@ -4,8 +4,7 @@
 :class:`~repro.serving.engine._Pool` the colocated :class:`ServingEngine`
 steps — allocator, continuous batcher, cost model) into one cluster-level
 event loop.  Where the serving engines drain a whole trace per pool, the
-fleet loop interleaves everything that couples replicas in time on one event
-heap:
+fleet loop interleaves everything that couples replicas in time:
 
 * **arrivals** are routed on the spot by a pluggable
   :class:`~repro.fleet.router.Router`, which only observes per-replica
@@ -21,9 +20,22 @@ heap:
   on the survivor, delivered tokens stay delivered), a slow window stretches
   the victim's iteration times.
 
-Tie-breaking is by insertion order at equal timestamps and every policy is
-deterministic, so a fleet run is a pure function of (trace, config, failure
-plan) — the property the byte-identical determinism test pins.
+Events wait in two queues.  *Global* events (arrivals, autoscaler ticks,
+failures, slow-window ends, provisioning and recovery) are pushed only by
+other global events or the run's set-up, so the head of their queue bounds
+every replica's future: no replica can be disturbed before it.  Replica
+*completions* — the ends of iterations — wait in the second queue, and the
+loop pops whichever head comes first.  At equal timestamps a global event
+and a completion resolve by insertion order; two completions resolve by
+insertion order when a global event was pushed between them and by replica
+id otherwise.  Every policy is deterministic, so a fleet run is a pure
+function of (trace, config, failure plan) — the property the byte-identical
+determinism test pins.
+
+Decode stretches (see :meth:`FleetEngine._stretch_step`) use that bound:
+every stretch step that has a successor and ends strictly before the global
+head is folded in one loop, with no queue event, and priced from the
+batcher's exact decode-FLOPs totals plus the batch's one-token growth.
 
 Replica-hours are metered from provisioning to retirement:
 :data:`GPU_HOURLY_USD` prices them per GPU type, which is what the capacity
@@ -33,6 +45,7 @@ planner minimises subject to the SLO.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -44,7 +57,7 @@ from ..model.costs import PassKind
 from ..obs import events as obs_events
 from ..obs.events import EventRecorder
 from ..schedules.base import Pass
-from ..serving.batcher import BatcherConfig, IterationPlan, RequestState
+from ..serving.batcher import EXACT_FLOPS_BOUND, BatcherConfig, IterationPlan, RequestState
 from ..serving.engine import ServingConfig, _metrics_fold, _Pool
 from ..serving.metrics import SLO, RequestRecord, ServingMetrics, StreamingMetrics, TenantMetrics
 from ..serving.prefix_cache import prefix_block_keys
@@ -88,9 +101,10 @@ class FleetConfig:
     autoscaler: AutoscalerConfig = field(default_factory=AutoscalerConfig)
     sessions: int = 0
     max_total_iterations: int = 10_000_000
-    #: Pre-plan stable pure-decode stretches per replica so each of their
-    #: iterations completes with cached pricing and bulk KV growth instead of
-    #: a full replan (exact; ``False`` forces the naive reference stepper).
+    #: Pre-plan stable pure-decode stretches per replica so their iterations
+    #: skip the replan, priced from decode totals, and those ending before
+    #: the next global event skip the event queue too (exact; ``False``
+    #: forces the naive reference stepper).
     fast_forward: bool = True
     #: Shared-prefix KV caching per replica (see
     #: :attr:`~repro.serving.engine.ServingConfig.prefix_caching`): cached
@@ -100,7 +114,7 @@ class FleetConfig:
     #: Keep every :class:`RequestRecord` in the result (the default,
     #: byte-identical path).  Finished requests always fold into one
     #: :class:`~repro.serving.metrics.StreamingMetrics`; ``False`` also pulls
-    #: arrivals lazily from the trace iterable (one in flight on the heap at
+    #: arrivals lazily from the trace iterable (one in flight in the queue at
     #: a time), drops every record after its fold and switches the fold to
     #: P² quantile sketches, so a million-request fleet run holds
     #: O(replicas + batch) state.  Incompatible with
@@ -211,8 +225,9 @@ class _Replica:
         # Decode fast-forward stretch: a pre-validated run of pure-decode
         # iterations.  ``ff_plan`` is the (constant-composition) plan every
         # stretch iteration executes; ``ff_steps`` counts the iterations still
-        # allowed *after* the one in flight; ``ff_ids`` holds the allocator
-        # keys.  Each iteration is priced from the batcher's decode totals.
+        # allowed *after* the one starting or in flight; ``ff_ids`` holds the
+        # allocator keys.  Each iteration is priced from the batcher's decode
+        # totals.
         self.ff_plan: Optional[IterationPlan] = None
         self.ff_steps = 0
         self.ff_ids: Optional[List[int]] = None
@@ -453,10 +468,9 @@ class FleetResult:
         return self.metrics.to_text(title=title) + self.fleet.to_text(title=f"{title} — fleet")
 
 
-# Event kinds, in deliberate alphabetical-free order: ties at one timestamp
-# resolve by insertion sequence, never by kind.
+# Global event kinds, in deliberate alphabetical-free order: ties at one
+# timestamp resolve by insertion sequence, never by kind.
 _ARRIVAL = "arrival"
-_ITERATION = "iteration"
 _PROVISION = "provision"
 _FAIL = "fail"
 _RECOVER = "recover"
@@ -483,8 +497,21 @@ class FleetEngine:
     # Event plumbing
     # ------------------------------------------------------------------
     def _push(self, time: float, kind: str, payload: object = None) -> None:
+        """Queue a global event; ``_seq`` counts the global pushes so far."""
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, kind, payload))
+        heapq.heappush(self._events, (time, self._seq, kind, payload))
+
+    def _push_completion(self, replica: _Replica, duration: float, now: float) -> None:
+        """Queue the end of the iteration ``replica`` starts at ``now``.
+
+        The entry carries the global push count, so a global event at the
+        same timestamp goes first exactly when it was queued first; among
+        completions the replica id breaks the remaining ties.
+        """
+        heapq.heappush(
+            self._completions,
+            (now + duration, self._seq, replica.replica_id, replica.epoch, duration),
+        )
 
     def _new_replica(self, now: float, delay: float) -> _Replica:
         replica = _Replica(len(self._replicas), self.model, self.config)
@@ -553,8 +580,15 @@ class FleetEngine:
     # ------------------------------------------------------------------
     # Per-replica continuous batching
     # ------------------------------------------------------------------
-    def _kick(self, replica: _Replica, now: float) -> None:
-        """Start the next iteration on an idle, active replica with work."""
+    def _kick(self, replica: _Replica, now: float, horizon: float = -math.inf) -> None:
+        """Start the next iteration on an idle, active replica with work.
+
+        ``horizon`` is the head of the global queue when the caller is a
+        completion.  Global handlers leave it at ``-inf``: they may still
+        push global events after the kick, so no stretch step may fold
+        there (none would anyway — a routed request waits, which bars a
+        stretch).
+        """
         if replica.state is not _ReplicaState.ACTIVE or replica.busy:
             return
         batcher = replica.pool.batcher
@@ -567,7 +601,7 @@ class FleetEngine:
         if obs is not None:
             batcher.now = now
         clock_start = prof.clock() if prof is not None else 0.0
-        if self._start_stretch(replica, now):
+        if self._start_stretch(replica, now, horizon):
             if prof is not None:
                 prof.add("fast-forward", prof.clock() - clock_start)
             return
@@ -588,21 +622,16 @@ class FleetEngine:
         if prof is not None:
             prof.add("pricing", prof.clock() - clock_start)
         replica.busy_plan = plan
-        self._push(now + duration, _ITERATION, (replica.replica_id, replica.epoch, duration))
+        self._push_completion(replica, duration, now)
 
-    def _start_stretch(self, replica: _Replica, now: float) -> bool:
-        """Pre-plan a pure-decode stretch and start its first iteration.
+    def _start_stretch(self, replica: _Replica, now: float, horizon: float) -> bool:
+        """Pre-plan a pure-decode stretch and start its first step.
 
         The composition (and hence the plan object) is constant across the
-        stretch, so each iteration reuses it: completion advances the
-        decodes through the batcher (which keeps its decode-FLOPs totals),
-        bulk-grows the KV reservations one token per request and re-prices
-        from those totals — everything else the naive :meth:`_kick` would
-        redo (budget search, scheduler replan, per-request admission checks)
+        stretch, so each step reuses it and is priced from the batcher's
+        decode totals — everything else the naive :meth:`_kick` would redo
+        (budget search, scheduler replan, per-request admission checks)
         provably has no effect mid-stretch.
-        Durations are still priced one iteration at a time with the
-        replica's *current* slowdown, so failure-injected slow windows keep
-        their exact naive semantics.
         """
         pool = replica.pool
         steps = pool.decode_stretch_length()
@@ -611,19 +640,114 @@ class FleetEngine:
         if self._obs is not None:
             replica.ff_start = now
             replica.ff_done = 0
-        batcher = pool.batcher
-        running = batcher.running
+        running = pool.batcher.running
         replica.ff_ids = [state.request.request_id for state in running]
         replica.ff_plan = IterationPlan(prefill=[], decode=list(running))
         replica.ff_steps = steps - 1  # beyond the one started right here
-        # The reservations the naive plan() would have made for this step.
-        pool.allocator.advance_decode_step(replica.ff_ids)
-        duration = pool.running_decode_time() * replica.slowdown
-        replica.busy_plan = replica.ff_plan
-        self._push(now + duration, _ITERATION, (replica.replica_id, replica.epoch, duration))
+        self._stretch_step(replica, now, horizon)
         return True
 
-    def _complete_iteration(self, replica: _Replica, duration: float, now: float) -> None:
+    def _stretch_step(self, replica: _Replica, now: float, horizon: float) -> None:
+        """Start the replica's next stretch step at ``now``.
+
+        Steps that have a successor in the stretch and end strictly before
+        ``horizon`` — the global queue's head, before which nothing can
+        disturb the replica — fold here without a queue event
+        (:meth:`_fold_stretch`).  The first step that does not is queued
+        like any iteration: it makes the reservations the naive plan would
+        make and is priced from the decode totals.
+        """
+        if replica.ff_steps and now < horizon:
+            now = self._fold_stretch(replica, now, horizon)
+        duration = replica.pool.start_decode_step(replica.ff_ids) * replica.slowdown
+        replica.busy_plan = replica.ff_plan
+        self._push_completion(replica, duration, now)
+
+    def _fold_stretch(self, replica: _Replica, now: float, horizon: float) -> float:
+        """Run the stretch steps that end before ``horizon``; return the last end.
+
+        Step ``k`` of the fold prices from ``(L + k*GL, A + k*GA)``: the
+        batcher's exact decode totals plus ``k`` times the batch's one-token
+        growth.  A decode step's FLOPs are affine in its context (the linear
+        part is constant and attention grows by a fixed amount per key), so
+        that growth is the same at every step, and below
+        :data:`EXACT_FLOPS_BOUND` the sum equals the totals the per-step
+        path would hold, bit for bit.  Each step then folds into the
+        replica's statistics exactly as :meth:`_complete_iteration` would,
+        in the same order; the KV utilization it reads grows by one token
+        per request per step, so its peak is the last step's.  Afterwards
+        the batch state is committed once (decode progress and KV
+        reservations).  When the totals are not exact, or the stretch could
+        reach the bound, no step folds.
+        """
+        pool = replica.pool
+        batcher = pool.batcher
+        totals = batcher.decode_growth()
+        if totals is None:
+            return now
+        linear, attention, grow_linear, grow_attention = totals
+        limit = replica.ff_steps
+        if (
+            linear + limit * grow_linear >= EXACT_FLOPS_BOUND
+            or attention + limit * grow_attention >= EXACT_FLOPS_BOUND
+        ):
+            return now
+        pair_time = pool._pair_time
+        batch = batcher.decode_count
+        slowdown = replica.slowdown
+        allocator = pool.allocator
+        capacity = allocator.total_blocks * allocator.block_tokens
+        stored = allocator.stored_tokens
+        kv_weighted = replica.kv_weighted
+        busy_time = replica.busy_time
+        utilization = 0.0
+        total = self._total_iterations
+        cap = self.config.max_total_iterations
+        spans = self._spans
+        replica_id = replica.replica_id
+        steps = 0
+        while steps < limit:
+            duration = pair_time(
+                linear + steps * grow_linear, attention + steps * grow_attention, batch
+            ) * slowdown
+            end = now + duration
+            if end >= horizon:
+                break
+            steps += 1
+            stored += batch
+            utilization = stored / capacity
+            kv_weighted += utilization * duration
+            busy_time += duration
+            total += 1
+            if total > cap:
+                raise RuntimeError(f"fleet exceeded {cap} iterations")
+            if spans is not None:
+                spans.append((replica_id, end - duration, end))
+            now = end
+        if not steps:
+            return now
+        replica.kv_weighted = kv_weighted
+        replica.busy_time = busy_time
+        # Utilization rises every step, so the last step's is the fold's peak.
+        replica.kv_peak = max(replica.kv_peak, utilization)
+        replica.iterations += steps
+        self._total_iterations = total
+        if self._obs is not None:
+            replica.ff_done += steps
+        replica.ff_steps -= steps
+        pool.commit_decode_stretch(steps)
+        if batcher.decode_flops() != (
+            linear + steps * grow_linear, attention + steps * grow_attention
+        ):
+            raise RuntimeError(
+                "decode-step FLOPs are not affine in the context, so the "
+                "folded stretch was mispriced; run with fast_forward=False"
+            )
+        return now
+
+    def _complete_iteration(
+        self, replica: _Replica, duration: float, now: float, horizon: float
+    ) -> None:
         plan = replica.busy_plan
         stretch = plan is not None and plan is replica.ff_plan
         replica.busy_plan = None
@@ -645,7 +769,7 @@ class FleetEngine:
             if stretch:
                 # Stretch iterations are uniform by construction; they roll
                 # up into one STRETCH event when the stretch ends (below, or
-                # at the crash site) instead of one sample per heap event.
+                # at the crash site) instead of one sample per iteration.
                 replica.ff_done += 1
             else:
                 batcher = pool.batcher
@@ -667,14 +791,7 @@ class FleetEngine:
             pool.batcher.advance_decodes(plan.decode, 1)
             if replica.ff_steps > 0:
                 replica.ff_steps -= 1
-                pool.allocator.advance_decode_step(replica.ff_ids)
-                next_duration = pool.running_decode_time() * replica.slowdown
-                replica.busy_plan = plan
-                self._push(
-                    now + next_duration,
-                    _ITERATION,
-                    (replica.replica_id, replica.epoch, next_duration),
-                )
+                self._stretch_step(replica, now, horizon)
             else:
                 if obs is not None:
                     obs.emit(
@@ -682,7 +799,7 @@ class FleetEngine:
                         (replica.ff_done, len(plan.decode), replica.ff_start, utilization),
                     )
                 replica.clear_stretch()
-                self._kick(replica, now)
+                self._kick(replica, now, horizon)
             return
         prof = obs.profiler if obs is not None else None
         clock_start = prof.clock() if prof is not None else 0.0
@@ -696,7 +813,7 @@ class FleetEngine:
         if replica.draining and not replica.has_work:
             self._retire(replica, now)
         else:
-            self._kick(replica, now)
+            self._kick(replica, now, horizon)
 
     def _retire(self, replica: _Replica, now: float) -> None:
         # The pool (and its counters) stays readable; only crashes fold it.
@@ -867,7 +984,7 @@ class FleetEngine:
     # The run
     # ------------------------------------------------------------------
     def _push_next_arrival(self) -> None:
-        """Pull one request from the streaming trace onto the event heap."""
+        """Pull one request from the streaming trace into the global queue."""
         stream = self._arrival_stream
         if stream is None:
             return
@@ -909,7 +1026,8 @@ class FleetEngine:
         if isinstance(trace, Sequence) and not trace:
             raise ValueError("fleet run needs a non-empty trace")
 
-        self._heap: List[tuple] = []
+        self._events: List[tuple] = []
+        self._completions: List[tuple] = []
         self._seq = 0
         self._replicas: List[_Replica] = []
         self._held: List[RequestState] = []
@@ -938,7 +1056,7 @@ class FleetEngine:
             self._new_replica(0.0, 0.0)
 
         if streaming:
-            # Lazy arrivals: exactly one future arrival sits on the heap;
+            # Lazy arrivals: exactly one future arrival sits in the queue;
             # popping it pulls the next from the iterator.  Until the
             # iterator exhausts, the total is unknown — ``inf`` keeps every
             # "more work coming" condition true; exhaustion pins it to the
@@ -964,10 +1082,30 @@ class FleetEngine:
         if cfg.autoscaler.policy != "none":
             self._push(cfg.autoscaler.interval, _SCALE)
 
+        events = self._events
+        completions = self._completions
         now = 0.0
         end_time = 0.0
-        while self._heap:
-            time, _, kind, payload = heapq.heappop(self._heap)
+        while events or completions:
+            if completions:
+                head = completions[0]
+                if not events:
+                    horizon = math.inf
+                else:
+                    horizon = events[0][0]
+                    if horizon < head[0] or (horizon == head[0] and events[0][1] <= head[1]):
+                        head = None  # the global event goes first
+                if head is not None:
+                    now, _, replica_id, epoch, duration = heapq.heappop(completions)
+                    replica = self._replicas[replica_id]
+                    if replica.epoch == epoch and replica.busy_plan is not None:
+                        # (otherwise the replica crashed while this ran)
+                        self._complete_iteration(replica, duration, now, horizon)
+                        if self._finished >= self._num_requests:
+                            end_time = now
+                            break
+                    continue
+            time, _, kind, payload = heapq.heappop(events)
             now = time
             if kind == _ARRIVAL:
                 self._arrivals_since_tick += 1
@@ -982,12 +1120,6 @@ class FleetEngine:
                 else:
                     record = records[payload.request_id]
                 self._route(RequestState(record=record), now)
-            elif kind == _ITERATION:
-                replica_id, epoch, duration = payload
-                replica = self._replicas[replica_id]
-                if replica.epoch != epoch or replica.busy_plan is None:
-                    continue  # the replica crashed while this iteration ran
-                self._complete_iteration(replica, duration, now)
             elif kind == _PROVISION:
                 replica = self._replicas[payload]
                 if replica.state is _ReplicaState.PROVISIONING:
@@ -1024,7 +1156,7 @@ class FleetEngine:
 
         if self._finished < self._num_requests:
             raise RuntimeError(
-                f"fleet drained its event heap with "
+                f"fleet drained its event queues with "
                 f"{self._num_requests - self._finished} requests unfinished"
             )
         return self._collect(list(records.values()), end_time)
@@ -1100,8 +1232,11 @@ class FleetEngine:
         )
         timeline = None
         if self._spans is not None:
+            # Folded stretch steps are recorded ahead of the queue, so spans
+            # are ordered here: by completion time, then replica id.
             timeline = Timeline(num_devices=len(self._replicas))
-            for index, (device, start, end) in enumerate(self._spans):
+            spans = sorted(self._spans, key=lambda span: (span[2], span[0]))
+            for index, (device, start, end) in enumerate(spans):
                 timeline.add(
                     TimelineSpan(
                         device=device,

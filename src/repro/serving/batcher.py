@@ -504,6 +504,32 @@ class ContinuousBatcher:
             return linear, attention
         return self._decode_linear, self._decode_attention
 
+    def decode_growth(self) -> Optional[Tuple[float, float, float, float]]:
+        """Exact decode totals and how much one more token each adds to them.
+
+        ``(linear, attention, linear_growth, attention_growth)``: the
+        running totals of :meth:`decode_flops` and the sum, over the
+        DECODE-phase requests, of their pairs' growth as each context gains
+        one token.  ``None`` when the totals are not exact or the table is
+        unsound; callers then price one step at a time.
+        """
+        linear, attention = self.decode_flops()
+        if not self._decode_exact:
+            return None
+        table = self.decode_table
+        cached = table.growths
+        grow_linear = 0.0
+        grow_attention = 0.0
+        for state in self.running:
+            if state.phase is Phase.DECODE:
+                context = state.record.request.prompt_tokens + state.decoded
+                growth = cached.get(context) or table.growth(context, 1)
+                grow_linear += growth[0]
+                grow_attention += growth[1]
+        if not table.sound:
+            return None
+        return linear, attention, grow_linear, grow_attention
+
     def _count_decode(self, state: RequestState, sign: int) -> None:
         """Add (``sign=1``) or remove (``-1``) one DECODE request and its pair.
 

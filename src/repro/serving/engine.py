@@ -549,9 +549,50 @@ class _Pool:
         # the naive path (reclamation changes stored tokens, which the
         # stretch tracks incrementally).
         steps = columns.stretch_bound(steps, allocator.free_blocks)
-        if steps > 0:
-            self._stretch_columns = columns
+        self._stretch_columns = columns if steps > 0 else None
         return steps
+
+    def start_decode_step(self, request_ids: List[int]) -> float:
+        """Reserve one stretch step's KV for the running decodes; price the step.
+
+        The reservations the naive :meth:`ContinuousBatcher.plan` would make
+        for the step (the token each request generates claims its slot), so
+        the KV utilization read when the step ends matches the naive
+        stepper.  The growth moves block counts, so it drops any columnar
+        stretch plan.
+        """
+        self._stretch_columns = None
+        self.allocator.advance_decode_step(request_ids)
+        return self.running_decode_time()
+
+    def commit_decode_stretch(self, steps: int) -> None:
+        """Credit ``steps`` decode steps to the running batch and commit its KV.
+
+        The end-of-stretch commit both engines share: every running decode
+        gains ``steps`` tokens (decode totals included) and its reservation
+        grows to ``context - 1`` (the token the last step generated claims
+        its slot next step).  Large batches commit through the columnar plan
+        of the latest :meth:`decode_stretch_length`, which describes the
+        batch as it stood before these steps; small ones grow per request,
+        reserving only across block boundaries.  The two are exactly
+        equivalent (``bulk_reserve_decode`` replays ``reserve``'s
+        bookkeeping in the same order).
+        """
+        batcher = self.batcher
+        running = batcher.running
+        columns = self._stretch_columns
+        batcher.advance_decodes(running, steps)
+        allocator = self.allocator
+        if columns is None:
+            for state in running:
+                rid = state.record.request.request_id
+                reserved = state.context_tokens - 1
+                if not allocator.grow_in_place(rid, reserved):
+                    allocator.reserve(rid, reserved)
+        else:
+            new_totals, extra_blocks = columns.commit_plan(steps)
+            allocator.bulk_reserve_decode(columns.request_ids, new_totals, extra_blocks)
+            self._stretch_columns = None
 
     # ------------------------------------------------------------------
     # Event loop
@@ -648,28 +689,7 @@ class _Pool:
                     steps += 1
                     if horizon is not None and horizon <= now + 1e-12:
                         break
-                # Bulk reservation commit: the last executed iteration
-                # reserved context - 1 tokens per request (the token it
-                # generated claims its slot next step).  Large batches commit
-                # through the columnar plan (every new total and block delta
-                # in one vectorized pass); small ones grow per request,
-                # reserving only across block boundaries — the two are
-                # exactly equivalent (``bulk_reserve_decode`` replays
-                # ``reserve``'s bookkeeping in the same order).
-                columns = self._stretch_columns
-                batcher.advance_decodes(running, steps)
-                if columns is None:
-                    for state in running:
-                        rid = state.record.request.request_id
-                        reserved = state.context_tokens - 1
-                        if not allocator.grow_in_place(rid, reserved):
-                            allocator.reserve(rid, reserved)
-                else:
-                    new_totals, extra_blocks = columns.commit_plan(steps)
-                    allocator.bulk_reserve_decode(
-                        columns.request_ids, new_totals, extra_blocks
-                    )
-                    self._stretch_columns = None
+                self.commit_decode_stretch(steps)
                 if prof is not None:
                     prof.add("fast-forward", prof.clock() - clock_start)
                 if obs is not None:

@@ -40,10 +40,11 @@ Results are memoized per spec name as JSON under
 ``$REPRO_SWEEP_CACHE_DIR`` (default ``~/.cache/repro-sweep``), keyed by a
 stable hash of (evaluator, point) and stamped with the
 :func:`~repro.sweep.cache.code_fingerprint` over every modelled constant
-(GPU spec, estimator settings, model registry, scheme formulas, serving
-scenarios).  Changing any of those constants changes the fingerprint and
-invalidates the file wholesale; ``--no-cache`` (or ``cache=None``) bypasses
-memoization entirely.
+(GPU spec, estimator settings, model registry, serving scenarios) and the
+source of the numeric-core modules (scheme formulas, cost models, the
+serving and fleet layers).  Changing any of those changes the fingerprint
+and invalidates the file wholesale; ``--no-cache`` (or ``cache=None``)
+bypasses memoization entirely.
 
 Goldens
 -------
@@ -54,7 +55,7 @@ and the serving scenarios' SLO metrics as JSON files under ``tests/goldens``;
 intentional change.
 """
 
-from .cache import SweepCache, code_fingerprint, default_cache_dir
+from .cache import SweepCache, code_fingerprint, constants_fingerprint, default_cache_dir
 from .engine import SweepResult, SweepStats, argmax_stream, run_sweep
 from .golden import (
     GOLDEN_REGISTRY,
@@ -85,6 +86,7 @@ __all__ = [
     "available_sweeps",
     "check_golden",
     "code_fingerprint",
+    "constants_fingerprint",
     "get_golden_definition",
     "default_cache_dir",
     "get_sweep_spec",

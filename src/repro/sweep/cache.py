@@ -1,4 +1,4 @@
-"""On-disk memoization of sweep results, invalidated by a constants fingerprint.
+"""On-disk memoization of sweep results, invalidated by a code fingerprint.
 
 Every evaluated sweep point is stored in a JSON file per spec name under the
 cache directory (``$REPRO_SWEEP_CACHE_DIR``, defaulting to
@@ -6,14 +6,16 @@ cache directory (``$REPRO_SWEEP_CACHE_DIR``, defaulting to
 :func:`repro.sweep.spec.point_key` — a stable hash of (evaluator, point) — so
 re-running a sweep re-evaluates only the points that were never seen.
 
-Staleness is handled by :func:`code_fingerprint`: a stable hash over the
-code-relevant constants the evaluators depend on (GPU spec, estimator
-settings, model registry, scheme formulas, serving scenarios, the fleet
-layer).  The
-fingerprint is written into every cache file and golden record; a file whose
-fingerprint no longer matches is discarded wholesale, so changing any
-modelled constant transparently invalidates every memoized number instead of
-serving stale results.
+Staleness is handled by two fingerprints:
+
+* :func:`constants_fingerprint` hashes the modelled constants (GPU spec,
+  estimator settings, model registry, serving scenario knobs).  Golden
+  records carry it: a golden goes stale when a constant moves, and a source
+  edit that moves a number fails on the values themselves.
+* :func:`code_fingerprint` adds the source text of the numeric-core modules
+  (scheme formulas, cost models, the serving and fleet layers).  Every cache
+  file carries it and a file whose fingerprint no longer matches is
+  discarded wholesale, so no edit can make the cache serve a stale number.
 """
 
 from __future__ import annotations
@@ -29,7 +31,13 @@ from typing import Dict, Mapping, Optional, Union
 
 from .spec import Scalar, SweepSpec, stable_hash
 
-__all__ = ["SweepCache", "code_fingerprint", "default_cache_dir", "CACHE_DIR_ENV"]
+__all__ = [
+    "SweepCache",
+    "code_fingerprint",
+    "constants_fingerprint",
+    "default_cache_dir",
+    "CACHE_DIR_ENV",
+]
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_SWEEP_CACHE_DIR"
@@ -91,28 +99,10 @@ _FINGERPRINTED_MODULES = (
 )
 
 
-@lru_cache(maxsize=None)
-def code_fingerprint() -> str:
-    """Stable hash of the constants and code the sweep evaluators depend on.
-
-    Covers the GPU spec, the default estimator settings, every registered
-    model configuration, every serving scenario's deployment knobs, and the
-    source text of the numeric-core modules (closed-form scheme formulas,
-    FLOPs/memory/cost models, communication model, workload generators,
-    serving metrics, the sweep evaluators and the fleet layer).
-    Perturbing any of them changes the fingerprint, which invalidates caches
-    and flags goldens as stale.  (The package version is deliberately
-    excluded: a version bump alone does not change any number.)
-
-    Memoized per process (the inputs are module-level constants); tests that
-    perturb a constant must ``code_fingerprint.cache_clear()`` around the
-    perturbation.
-    """
+def _constants_payload() -> Dict[str, object]:
+    """The modelled constants every evaluator depends on, as JSON data."""
     # Imported lazily so this module stays cycle-free below the model,
     # hardware, systems and serving layers.
-    import importlib
-    import inspect
-
     from ..hardware import gpu as gpu_module
     from ..model.config import MODEL_REGISTRY
     from ..serving.scenarios import SCENARIO_REGISTRY
@@ -130,16 +120,49 @@ def code_fingerprint() -> str:
         }
         for name, s in SCENARIO_REGISTRY.items()
     }
-    sources = {
-        name: stable_hash(inspect.getsource(importlib.import_module(name)))
-        for name in _FINGERPRINTED_MODULES
-    }
-    payload = {
+    return {
         "gpu": _jsonable(gpu_module.HOPPER_80GB),
         "estimator": _jsonable(EstimatorSettings()),
         "models": {name: _jsonable(cfg) for name, cfg in MODEL_REGISTRY.items()},
         "scenarios": scenarios,
-        "sources": sources,
+    }
+
+
+def constants_fingerprint() -> str:
+    """Stable hash of the modelled constants alone (what goldens record).
+
+    Covers the GPU spec, the default estimator settings, every registered
+    model configuration and every serving scenario's deployment knobs, but
+    no source text: a refactor that moves no number leaves it, and so every
+    golden, unchanged.  Computed afresh on each call (it is cheap), so a
+    perturbed constant shows up without clearing any cache.
+    """
+    return stable_hash(_constants_payload())
+
+
+@lru_cache(maxsize=None)
+def code_fingerprint() -> str:
+    """Stable hash of the constants and code the sweep evaluators depend on.
+
+    The :func:`constants_fingerprint` payload plus the source text of the
+    numeric-core modules (closed-form scheme formulas, FLOPs/memory/cost
+    models, communication model, workload generators, serving metrics, the
+    sweep evaluators and the fleet layer).  Perturbing any of them changes
+    the fingerprint, which invalidates sweep caches.  (The package version
+    is deliberately excluded: a version bump alone does not change any
+    number.)
+
+    Memoized per process (the inputs are module-level constants); tests that
+    perturb a constant or a source must ``code_fingerprint.cache_clear()``
+    around the perturbation.
+    """
+    import importlib
+    import inspect
+
+    payload = _constants_payload()
+    payload["sources"] = {
+        name: stable_hash(inspect.getsource(importlib.import_module(name)))
+        for name in _FINGERPRINTED_MODULES
     }
     return stable_hash(payload)
 

@@ -7,7 +7,9 @@ SLO metrics) — pinned as JSON files under ``tests/goldens/`` and re-derived
 on every test run.
 
 A golden file stores the metrics, the tolerances they were recorded with and
-the code-constants fingerprint of :func:`repro.sweep.cache.code_fingerprint`.
+the constants fingerprint of :func:`repro.sweep.cache.constants_fingerprint`
+(GPU spec, estimator settings, model registry, scenario knobs — no source
+text, so a refactor that moves no number re-stamps no golden).
 :func:`check_golden` recomputes the definition and fails on
 
 * any metric drifting outside ``max(atol, rtol * |reference|)``,
@@ -31,7 +33,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..constants import UnknownNameError
-from .cache import code_fingerprint
+from .cache import constants_fingerprint
 from .spec import Scalar
 
 __all__ = [
@@ -141,7 +143,7 @@ def record_golden(
     payload = {
         "name": name,
         "description": definition.description,
-        "fingerprint": code_fingerprint(),
+        "fingerprint": constants_fingerprint(),
         "rtol": definition.rtol,
         "atol": definition.atol,
         "metrics": definition.compute(),
@@ -186,9 +188,9 @@ def check_golden(
         return GoldenCheck(name, ok=False, failures=[f"golden file {path} unreadable: {error}"])
 
     failures: List[str] = []
-    if payload.get("fingerprint") != code_fingerprint():
+    if payload.get("fingerprint") != constants_fingerprint():
         failures.append(
-            "code-constants fingerprint changed (a modelled constant was "
+            "constants fingerprint changed (a modelled constant was "
             "perturbed since this golden was recorded)"
         )
     reference: Dict[str, Scalar] = payload.get("metrics", {})

@@ -55,6 +55,8 @@ def serving_digest(result):
 
 
 def fleet_digest(result):
+    """Everything a FleetResult observed; spans need ``collect_timeline=True``."""
+    spans = result.timeline.spans if result.timeline is not None else []
     return {
         "metrics": asdict(result.metrics),
         "fleet": asdict(result.fleet),
@@ -67,6 +69,7 @@ def fleet_digest(result):
         "tokens_prefilled": result.tokens_prefilled,
         "tokens_preempted_requeued": result.tokens_preempted_requeued,
         "preemptions": result.preemptions,
+        "spans": [(s.device, s.start, s.end, s.work.microbatch) for s in spans],
     }
 
 
@@ -103,8 +106,9 @@ def test_massive_scenarios_byte_identical_on_slice(scenario_name):
 @pytest.mark.parametrize("scenario_name", sorted(FLEET_SCENARIO_REGISTRY))
 def test_fleet_scenarios_byte_identical(scenario_name):
     scenario = FLEET_SCENARIO_REGISTRY[scenario_name]
-    fast = run_fleet_scenario(scenario, seed=0)
-    naive = run_fleet_scenario(scenario, seed=0, fast_forward=False)
+    fast = run_fleet_scenario(scenario, seed=0, collect_timeline=True)
+    naive = run_fleet_scenario(scenario, seed=0, collect_timeline=True, fast_forward=False)
+    assert fast.timeline.spans, "the fleet run recorded no iteration spans"
     assert fleet_digest(fast) == fleet_digest(naive)
 
 

@@ -63,3 +63,52 @@ def test_install_and_uninstall_every_traced_entry_point(perfbench_modules):
     for owner, name in wrapped:
         assert owner.__dict__[name] is originals[(owner, name)], name
     assert metrics.compute_metrics is compute_metrics
+
+
+def test_both_fleet_queues_pop_through_the_counted_heapq(perfbench_modules):
+    # perfbench counts fleet queue events by replacing ``cluster.heapq``; a
+    # queue popped through any other binding would silently drop out of
+    # ``fleet.cluster.heap_events``.
+    layers, tracer = perfbench_modules
+    from repro.fleet import cluster
+    from repro.fleet.failures import FailureEvent, FailurePlan
+    from repro.model.config import get_model_config
+    from repro.serving.workload import poisson_trace
+
+    popped = []
+
+    class QueueSpy:
+        def __init__(self, inner):
+            self._inner = inner
+
+        def heappop(self, heap):
+            popped.append(id(heap))
+            return self._inner.heappop(heap)
+
+        def __getattr__(self, attribute):
+            return getattr(self._inner, attribute)
+
+    trace = poisson_trace(
+        num_requests=12, arrival_rate=4.0, prompt_mean=512, output_mean=48, seed=0
+    )
+    plan = FailurePlan(
+        events=(FailureEvent(time=1.0, kind="slow", replica_index=0, duration=0.5, slowdown=2.0),)
+    )
+    engine = cluster.FleetEngine(
+        get_model_config("llama-13b"),
+        cluster.FleetConfig(gpus_per_replica=1, initial_replicas=2),
+        failure_plan=plan,
+    )
+    traced = tracer.Tracer()
+    try:
+        layers.install(traced)
+        assert isinstance(cluster.heapq, tracer.CountingHeapq)
+        traced.patch_attribute(cluster, "heapq", QueueSpy(cluster.heapq))
+        result = engine.run(trace)
+    finally:
+        traced.uninstall()
+
+    assert set(popped) == {id(engine._events), id(engine._completions)}
+    assert traced.counters["fleet.cluster.heap_events"] == len(popped)
+    # Folded stretch steps pop nothing, so there are fewer pops than steps.
+    assert len(popped) < result.iterations

@@ -2,11 +2,13 @@
 
 ``tests/test_goldens.py`` asserts the committed goldens still hold; this
 module asserts the *harness* does its job — tolerances, missing/extra
-metrics, fingerprint staleness, and the headline guarantee that perturbing a
-modelled constant makes the check fail.
+metrics, fingerprint staleness, the headline guarantee that perturbing a
+modelled constant makes the check fail, and that a source-only edit moves
+the sweep cache key but no golden.
 """
 
 import dataclasses
+import inspect
 
 import pytest
 
@@ -15,8 +17,15 @@ import repro.hardware.gpu as gpu_module
 import repro.sweep.golden as golden_module
 from repro.constants import UnknownNameError
 from repro.hardware.topology import ClusterTopology
-from repro.sweep import check_golden, code_fingerprint, record_golden
+from repro.sweep import (
+    SweepCache,
+    check_golden,
+    code_fingerprint,
+    constants_fingerprint,
+    record_golden,
+)
 from repro.sweep.golden import GoldenDefinition, golden_path
+from repro.sweep.spec import SweepSpec
 
 
 def _definition(values, name="unit", rtol=1e-6, atol=1e-9):
@@ -110,6 +119,33 @@ class TestConstantPerturbation:
             check = check_golden("fig08", directory=tmp_path)
             assert not check.ok
             assert any("fingerprint" in failure for failure in check.failures)
+        finally:
+            monkeypatch.undo()
+            code_fingerprint.cache_clear()
+
+    def test_source_only_change_keeps_goldens_but_moves_the_cache_key(
+        self, tmp_path, monkeypatch
+    ):
+        definition = _definition({"a": 1.0})
+        record_golden("unit", directory=tmp_path, definition=definition)
+        spec = SweepSpec(name="unit", evaluator="unit", axes=())
+        cache = SweepCache(tmp_path / "cache")
+        cache.store(spec, {"point": {"a": 1.0}})
+        assert cache.load(spec) == {"point": {"a": 1.0}}
+        original_code = code_fingerprint()
+        original_constants = constants_fingerprint()
+        real_getsource = inspect.getsource
+        try:
+            # Every fingerprinted module gains a comment: a pure source edit.
+            monkeypatch.setattr(
+                inspect, "getsource", lambda obj: real_getsource(obj) + "# edited\n"
+            )
+            code_fingerprint.cache_clear()
+            assert code_fingerprint() != original_code
+            assert constants_fingerprint() == original_constants
+            check = check_golden("unit", directory=tmp_path, definition=definition)
+            assert check.ok, check.report()
+            assert cache.load(spec) == {}
         finally:
             monkeypatch.undo()
             code_fingerprint.cache_clear()
