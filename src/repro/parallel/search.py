@@ -72,6 +72,24 @@ class SearchSpace:
     require_interleave_divisibility: bool = False
     allow_cross_node_context_parallel: bool = True
 
+    def __post_init__(self) -> None:
+        for name in (
+            "max_tensor_parallel",
+            "max_context_parallel",
+            "max_pipeline_parallel",
+            "max_virtual_stages",
+        ):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"SearchSpace.{name} must be >= 1, got {value}")
+        if not self.slice_multipliers:
+            raise ValueError("SearchSpace.slice_multipliers must not be empty")
+        for multiplier in self.slice_multipliers:
+            if multiplier < 1:
+                raise ValueError(
+                    f"SearchSpace.slice_multipliers must all be >= 1, got {multiplier}"
+                )
+
 
 def _tensor_parallel_options(
     model: ModelConfig, cluster: ClusterTopology, space: SearchSpace

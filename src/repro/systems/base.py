@@ -15,17 +15,20 @@ Every system implements
   recompute policy, MFU) for one configuration,
 
 and inherits :meth:`TrainingSystem.best_configuration`, the grid search that
-keeps the feasible estimate with the highest MFU.  The search shares one
-memoizing :class:`~repro.systems.estimator.AnalyticEstimator` across its
-candidates (:meth:`TrainingSystem.estimator`); a direct ``evaluate`` call
-outside a search gets a fresh one.  Infeasibility is reported
-the way the paper's Figure 12 annotates it: ``"oom"`` when configurations
+keeps the feasible estimate with the highest MFU.  A system may also
+override :meth:`TrainingSystem.mfu_bound`, a sound upper bound on a
+candidate's MFU that lets the search skip candidates that cannot win.  The
+search shares one memoizing :class:`~repro.systems.estimator.AnalyticEstimator`
+across its candidates (:meth:`TrainingSystem.estimator`); a direct
+``evaluate`` call outside a search gets a fresh one.  Infeasibility is
+reported the way the paper's Figure 12 annotates it: ``"oom"`` when configurations
 exist but none fits memory, ``"no-configuration"`` when the search space is
 empty (e.g. the batch is too small for the required data parallelism).
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
@@ -116,6 +119,23 @@ class TrainingSystem(ABC):
     ) -> SystemEstimate:
         """Estimate time, memory and MFU of one configuration."""
 
+    def mfu_bound(
+        self,
+        model: ModelConfig,
+        cluster: ClusterTopology,
+        workload: WorkloadConfig,
+        parallel: ParallelConfig,
+    ) -> Optional[float]:
+        """Upper bound on ``evaluate(...).mfu``; ``None`` when it must be infeasible.
+
+        The grid search evaluates candidates in descending-bound order and
+        stops once no bound can beat the incumbent, so an override must be
+        sound: ``None`` only for a candidate ``evaluate`` reports as
+        :data:`INFEASIBLE_OOM`, and otherwise never below the MFU of a
+        feasible estimate.  The default never prunes.
+        """
+        return math.inf
+
     # ------------------------------------------------------------------
     def best_configuration(
         self,
@@ -123,30 +143,49 @@ class TrainingSystem(ABC):
         cluster: ClusterTopology,
         workload: WorkloadConfig,
     ) -> SystemEstimate:
-        """Grid search: the feasible configuration with the highest MFU.
+        """Grid search: the first feasible configuration with the highest MFU.
 
         Mirrors the paper's methodology ("their hybrid parallelism
-        configurations are baked through grid search").  Every candidate is
-        priced by one estimator, whose memo ends with the search.
+        configurations are baked through grid search").  Candidates are
+        evaluated in descending :meth:`mfu_bound` order until the next bound
+        falls below the incumbent's MFU; an equal-MFU candidate replaces the
+        incumbent only if it comes earlier in enumeration order, so the
+        result equals the exhaustive first-max.  Nothing is pruned before a
+        feasible incumbent exists, so the ``oom`` / ``no-configuration``
+        outcome is the exhaustive one too.  Every candidate is priced by one
+        estimator, whose memo ends with the search.
         """
         best: Optional[SystemEstimate] = None
-        saw_candidate = False
+        best_index = -1
         saw_oom = False
         self._search_estimator = AnalyticEstimator(model, cluster, self.settings)
         try:
-            for parallel in self.candidate_configs(model, cluster, workload):
-                saw_candidate = True
+            ranked = []
+            for index, parallel in enumerate(self.candidate_configs(model, cluster, workload)):
+                bound = self.mfu_bound(model, cluster, workload, parallel)
+                if bound is None:
+                    saw_oom = True
+                else:
+                    ranked.append((-bound, index, parallel))
+            ranked.sort()
+            for negative_bound, index, parallel in ranked:
+                if best is not None and -negative_bound < best.mfu:
+                    break
                 estimate = self.evaluate(model, cluster, workload, parallel)
                 if not estimate.feasible:
                     saw_oom = saw_oom or estimate.reason == INFEASIBLE_OOM
                     continue
-                if best is None or estimate.mfu > best.mfu:
-                    best = estimate
+                if (
+                    best is None
+                    or estimate.mfu > best.mfu
+                    or (estimate.mfu == best.mfu and index < best_index)
+                ):
+                    best, best_index = estimate, index
         finally:
             self._search_estimator = None
         if best is not None:
             return best
-        if saw_candidate and saw_oom:
+        if saw_oom:
             return _infeasible(self.name, INFEASIBLE_OOM)
         return _infeasible(self.name, INFEASIBLE_NO_CONFIG)
 

@@ -168,7 +168,6 @@ class AnalyticEstimator:
         )
         return total * share
 
-    @_memoized(_T, _C, _P)
     def microbatch_compute_seconds(
         self,
         parallel: ParallelConfig,
@@ -195,12 +194,33 @@ class AnalyticEstimator:
         splits = sequence_splits if sequence_splits is not None else passes_per_microbatch
         if splits < 1:
             raise ValueError("sequence_splits must be >= 1")
+        forward, backward = self.microbatch_kernel_seconds(
+            parallel, sequence_length, recompute, vocab_shards, include_output_layer, splits
+        )
+        overhead = self.cost_model.gpu.kernel_launch_overhead * passes_per_microbatch
+        return forward + overhead, backward + overhead
+
+    @_memoized(_T, _C, _P)
+    def microbatch_kernel_seconds(
+        self,
+        parallel: ParallelConfig,
+        sequence_length: int,
+        recompute: RecomputeMode,
+        vocab_shards: int,
+        include_output_layer: bool,
+        sequence_splits: int,
+    ) -> Tuple[float, float]:
+        """(forward, backward) kernel seconds of one microbatch, launch overhead excluded.
+
+        The pass count enters :meth:`microbatch_compute_seconds` only through
+        the launch overhead added last, so this memo is shared by every pass
+        count with the same sequence split.
+        """
         flops = self._device_share_flops(parallel, sequence_length)
         tokens_per_pass = max(
             1.0,
-            sequence_length / (parallel.context_parallel_size * splits),
+            sequence_length / (parallel.context_parallel_size * sequence_splits),
         )
-        overhead = self.cost_model.gpu.kernel_launch_overhead * passes_per_microbatch
 
         forward = self.cost_model.time_of(
             flops, PassKind.FORWARD, tokens=tokens_per_pass, include_overhead=False
@@ -239,7 +259,7 @@ class AnalyticEstimator:
             backward += self.cost_model.time_of(
                 out_flops, PassKind.BACKWARD, tokens=tokens_per_pass, include_overhead=False
             )
-        return forward + overhead, backward + overhead
+        return forward, backward
 
     def model_flops_per_iteration(
         self, sequence_length: int, num_sequences: int

@@ -18,12 +18,16 @@ microbatch-count constraint     ``m % p == 0`` for ``v > 1``    none (works with
 
 The SlimPipe system can additionally invoke the activation-offload planner
 (Table 4) when even its thrifty activations exceed device memory.
+
+Both price the iteration through one timing formula (``_timing``), which
+also gives the grid search its MFU upper bound (``mfu_bound``): the same
+timing at no recomputation and no offload overhead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 from ..core.offload import OffloadPlanner
 from ..hardware.topology import ClusterTopology
@@ -50,6 +54,16 @@ class _MemoryBreakdown:
     @property
     def total(self) -> float:
         return self.model_states + self.activations + self.logits
+
+
+class _Timing(NamedTuple):
+    forward: float
+    backward: float
+    comm: float
+    attention_share: float
+    bubble: float
+    iteration_time: float
+    mfu: float
 
 
 class _PipelineSystem(TrainingSystem):
@@ -206,15 +220,82 @@ class _PipelineSystem(TrainingSystem):
                 return self.infeasible(INFEASIBLE_OOM)
 
         assert memory is not None and chosen is not None
+        timing = self._timing(
+            estimator, workload, parallel, num_microbatches, chosen, offload_overhead
+        )
+        details = {
+            "forward_per_microbatch": timing.forward,
+            "backward_per_microbatch": timing.backward,
+            "comm_per_microbatch": timing.comm,
+            "attention_share": timing.attention_share,
+            "model_state_bytes": memory.model_states,
+            "activation_bytes": memory.activations,
+            "logits_bytes": memory.logits,
+            "offload_overhead": offload_overhead,
+        }
+        details.update(offload_details)
+        return SystemEstimate(
+            system=self.name,
+            feasible=True,
+            parallel=parallel,
+            recompute=chosen,
+            num_microbatches=num_microbatches,
+            iteration_time=timing.iteration_time,
+            mfu=timing.mfu,
+            peak_memory_bytes=memory.total,
+            bubble_fraction=timing.bubble,
+            details=details,
+        )
 
-        # ---------------- timing ----------------
+    def mfu_bound(
+        self,
+        model: ModelConfig,
+        cluster: ClusterTopology,
+        workload: WorkloadConfig,
+        parallel: ParallelConfig,
+    ) -> Optional[float]:
+        """MFU of the cheapest timing ``evaluate`` could price; ``None`` = infeasible.
+
+        The timing at :attr:`RecomputeMode.NONE` with no offload overhead:
+        every other rung only adds a non-negative recompute term to the
+        backward time, and offloading only adds its exposed seconds, so by
+        monotone IEEE rounding ``evaluate(...).mfu <= mfu_bound(...)``
+        exactly.  Model states alone above the usable memory fail every
+        rung (each adds non-negative activations and logits) and the
+        offload rescue (its activation budget is ``usable - model_states -
+        logits <= 0``).
+        """
+        try:
+            parallel.validate_against_model(model)
+            num_microbatches = workload.num_microbatches(parallel)
+        except ValueError:
+            return None
+        estimator = self.estimator(model, cluster)
+        model_states = estimator.model_state_bytes(parallel, vocab_parallel=self.vocab_parallel)
+        if model_states > estimator.usable_memory_bytes():
+            return None
+        return self._timing(
+            estimator, workload, parallel, num_microbatches, RecomputeMode.NONE
+        ).mfu
+
+    def _timing(
+        self,
+        estimator: AnalyticEstimator,
+        workload: WorkloadConfig,
+        parallel: ParallelConfig,
+        num_microbatches: int,
+        recompute: RecomputeMode,
+        offload_overhead: float = 0.0,
+    ) -> _Timing:
+        """Iteration time and MFU: compute + comm per microbatch, bubbles, DP sync."""
+        sequence = workload.microbatch_tokens()
         passes = self._passes_per_microbatch(parallel)
         forward, backward = estimator.microbatch_compute_seconds(
             parallel,
             sequence,
-            chosen,
+            recompute,
             passes_per_microbatch=passes,
-            vocab_shards=vocab_shards,
+            vocab_shards=self._vocab_shards(parallel),
             sequence_splits=self._num_slices(parallel),
         )
         comm = (
@@ -232,33 +313,12 @@ class _PipelineSystem(TrainingSystem):
         iteration_time += estimator.dp_sync_seconds(parallel)
         iteration_time += offload_overhead
 
-        sequences = workload.global_batch_sequences
-        flops = estimator.model_flops_per_iteration(workload.sequence_length, sequences)
-        mfu = flops / (iteration_time * cluster.total_gpus * cluster.gpu.peak_flops)
-
-        details = {
-            "forward_per_microbatch": forward,
-            "backward_per_microbatch": backward,
-            "comm_per_microbatch": comm,
-            "attention_share": attention_share,
-            "model_state_bytes": memory.model_states,
-            "activation_bytes": memory.activations,
-            "logits_bytes": memory.logits,
-            "offload_overhead": offload_overhead,
-        }
-        details.update(offload_details)
-        return SystemEstimate(
-            system=self.name,
-            feasible=True,
-            parallel=parallel,
-            recompute=chosen,
-            num_microbatches=num_microbatches,
-            iteration_time=iteration_time,
-            mfu=mfu,
-            peak_memory_bytes=memory.total,
-            bubble_fraction=bubble,
-            details=details,
+        flops = estimator.model_flops_per_iteration(
+            workload.sequence_length, workload.global_batch_sequences
         )
+        cluster = estimator.cluster
+        mfu = flops / (iteration_time * cluster.total_gpus * cluster.gpu.peak_flops)
+        return _Timing(forward, backward, comm, attention_share, bubble, iteration_time, mfu)
 
     # ------------------------------------------------------------------
     def _memory_breakdown(

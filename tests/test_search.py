@@ -132,6 +132,42 @@ class TestCandidateEnumeration:
             assert cfg.num_slices == cfg.pipeline_parallel_size
 
 
+class TestSearchSpaceValidation:
+    """An invalid search space fails when it is built, with a named reason."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["max_tensor_parallel", "max_context_parallel", "max_pipeline_parallel", "max_virtual_stages"],
+    )
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_ceiling_below_one(self, name, value):
+        with pytest.raises(ValueError, match=f"SearchSpace.{name} must be >= 1, got {value}"):
+            SearchSpace(**{name: value})
+
+    def test_empty_slice_multipliers(self):
+        with pytest.raises(ValueError, match="slice_multipliers must not be empty"):
+            SearchSpace(slice_multipliers=())
+
+    @pytest.mark.parametrize("multipliers", [(0,), (1, -2)])
+    def test_slice_multiplier_below_one(self, multipliers):
+        with pytest.raises(ValueError, match="slice_multipliers must all be >= 1"):
+            SearchSpace(slice_multipliers=multipliers)
+
+    def test_smallest_valid_space(self):
+        space = SearchSpace(
+            max_tensor_parallel=1,
+            max_context_parallel=1,
+            max_pipeline_parallel=1,
+            max_virtual_stages=1,
+            slice_multipliers=(1,),
+        )
+        configs = list(
+            candidate_parallel_configs(LLAMA_13B, hopper_cluster(8), workload(), space, use_slices=True)
+        )
+        assert configs
+        assert all(cfg.world_size == 8 and cfg.data_parallel_size == 8 for cfg in configs)
+
+
 class TestGridSearch:
     def test_picks_maximum(self):
         cluster = hopper_cluster(32)

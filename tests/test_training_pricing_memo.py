@@ -10,11 +10,16 @@ grid search's shared estimator:
   outside its key: perturbing any other field leaves the un-memoized result
   unchanged;
 * ``best_configuration`` returns exactly the first highest-MFU estimate over
-  fresh per-candidate ``evaluate`` calls, ``details`` included.
+  fresh per-candidate ``evaluate`` calls, ``details`` included, although its
+  bound-and-prune search evaluates only a fraction of the candidates; a
+  scripted stub pins its tie rule and its ``oom`` / ``no-configuration``
+  outcomes.
 """
 
 import dataclasses
+import functools
 import itertools
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,10 +28,11 @@ from hypothesis import strategies as st
 from repro.constants import tokens_from_k
 from repro.core.schedule import build_slimpipe_schedule
 from repro.hardware.topology import hopper_cluster
-from repro.model.config import LLAMA_13B, MIXTRAL_8X7B, MODEL_REGISTRY
+from repro.model.config import LLAMA_13B, LLAMA_70B, MIXTRAL_8X7B, MODEL_REGISTRY
 from repro.model.memory import RecomputeMode
 from repro.parallel.config import ParallelConfig, WorkloadConfig
 from repro.schedules import build_schedule
+from repro.schedules.formulas import SCHEME_FORMULAS
 from repro.sim.providers import (
     ModelActivationAccountant,
     ModelCostProvider,
@@ -36,9 +42,15 @@ from repro.systems import (
     AnalyticEstimator,
     DeepSpeedSystem,
     MegatronSystem,
+    SchemeSystem,
     SlimPipeSystem,
 )
-from repro.systems.base import INFEASIBLE_NO_CONFIG, INFEASIBLE_OOM
+from repro.systems.base import (
+    INFEASIBLE_NO_CONFIG,
+    INFEASIBLE_OOM,
+    SystemEstimate,
+    TrainingSystem,
+)
 
 # ----------------------------------------------------------------------------
 # (a) simulator providers
@@ -116,9 +128,7 @@ def test_memoized_pass_pricing_equals_fresh_provider(
 
 #: Arguments (after the ParallelConfig) each memoized term is probed with.
 _TERM_ARGS = {
-    "microbatch_compute_seconds": lambda seq, rc: (
-        (seq, rc), {"passes_per_microbatch": 4, "vocab_shards": 2, "sequence_splits": 2}
-    ),
+    "microbatch_kernel_seconds": lambda seq, rc: ((seq, rc, 2, True, 2), {}),
     "tp_comm_seconds_per_microbatch": lambda seq, rc: ((seq,), {}),
     "cp_comm_seconds_per_microbatch": lambda seq, rc: ((seq,), {}),
     "ep_comm_seconds_per_microbatch": lambda seq, rc: ((seq,), {}),
@@ -213,9 +223,23 @@ def _fresh_search(system, model, cluster, workload):
 _SYSTEMS = {
     "slimpipe": SlimPipeSystem,
     "slimpipe-offload": lambda: SlimPipeSystem(allow_offload=True),
+    "slimpipe-no-exchange": lambda: SlimPipeSystem(context_exchange=False),
     "megatron-lm": MegatronSystem,
     "deepspeed": DeepSpeedSystem,
+    "scheme-slimpipe-full": lambda: SchemeSystem("slimpipe", forced_recompute=RecomputeMode.FULL),
+    **{f"scheme-{scheme}": functools.partial(SchemeSystem, scheme) for scheme in SCHEME_FORMULAS},
 }
+
+#: (GPUs, context in K) of every search; offload additionally at 2048K.
+_SEARCHES = ((64, 64), (64, 512), (128, 512))
+_OFFLOAD_SEARCHES = _SEARCHES + ((128, 2048),)
+
+
+def _workload(context_k):
+    sequence = tokens_from_k(context_k)
+    return WorkloadConfig(
+        sequence_length=sequence, tokens_per_iteration=max(4 * 1024 * 1024, sequence)
+    )
 
 
 @pytest.mark.parametrize("system_name", sorted(_SYSTEMS))
@@ -223,15 +247,91 @@ _SYSTEMS = {
 def test_best_configuration_matches_fresh_per_candidate_search(system_name, model_name):
     system = _SYSTEMS[system_name]()
     model = MODEL_REGISTRY[model_name]
-    cluster = hopper_cluster(64)
-    for context_k in (64, 512):
-        sequence = tokens_from_k(context_k)
-        workload = WorkloadConfig(
-            sequence_length=sequence, tokens_per_iteration=max(4 * 1024 * 1024, sequence)
-        )
+    searches = _OFFLOAD_SEARCHES if system_name == "slimpipe-offload" else _SEARCHES
+    for gpus, context_k in searches:
+        cluster, workload = hopper_cluster(gpus), _workload(context_k)
         searched = system.best_configuration(model, cluster, workload)
-        assert searched == _fresh_search(system, model, cluster, workload)
+        fresh = _fresh_search(system, model, cluster, workload)
+        assert searched == fresh
+        # ``details`` compared in insertion order too: digests hash the repr.
+        assert repr(searched) == repr(fresh)
         assert system._search_estimator is None
+
+
+class _StubSystem(TrainingSystem):
+    """Candidates ``0..n-1`` with scripted bounds and MFUs (``None`` = OOM)."""
+
+    name = "stub"
+
+    def __init__(self, bounds, mfus):
+        self.bounds, self.mfus = bounds, mfus
+        self.configs = [ParallelConfig(data_parallel_size=i + 1) for i in range(len(mfus))]
+        self.evaluated = []
+
+    def candidate_configs(self, model, cluster, workload):
+        return self.configs
+
+    def mfu_bound(self, model, cluster, workload, parallel):
+        return self.bounds[self.configs.index(parallel)]
+
+    def evaluate(self, model, cluster, workload, parallel):
+        index = self.configs.index(parallel)
+        self.evaluated.append(index)
+        if self.mfus[index] is None:
+            return self.infeasible(INFEASIBLE_OOM)
+        return SystemEstimate(self.name, True, parallel=parallel, mfu=self.mfus[index])
+
+
+def _stub_search(bounds, mfus):
+    """(winning index or infeasibility reason, indices evaluated in order)."""
+    system = _StubSystem(bounds, mfus)
+    best = system.best_configuration(LLAMA_13B, hopper_cluster(8), _workload(64))
+    outcome = system.configs.index(best.parallel) if best.feasible else best.reason
+    return outcome, system.evaluated
+
+
+def test_equal_mfu_tie_goes_to_the_lower_index_whatever_the_bound_order():
+    # Candidate 2 has the highest bound, so it is evaluated first and becomes
+    # the incumbent; candidate 0 ties it later and must take over.  Candidate
+    # 1's bound equals the incumbent MFU, so it is still evaluated; candidate
+    # 3's bound is below it, so the search stops there.
+    assert _stub_search(bounds=[0.5, 0.4, 0.9, 0.3], mfus=[0.4, 0.4, 0.4, 0.1]) == (0, [2, 0, 1])
+
+
+def test_none_bound_counts_as_oom_and_prunes_nothing_before_an_incumbent():
+    assert _stub_search([None, None], [None, None]) == (INFEASIBLE_OOM, [])
+    assert _stub_search([None, 0.5, 0.2], [None, None, 0.1]) == (2, [1, 2])
+    assert _stub_search([0.5], [None]) == (INFEASIBLE_OOM, [0])
+    assert _stub_search([], []) == (INFEASIBLE_NO_CONFIG, [])
+
+
+def test_default_bound_never_prunes():
+    system = DeepSpeedSystem()
+    model, cluster, workload = LLAMA_13B, hopper_cluster(64), _workload(64)
+    candidates = list(system.candidate_configs(model, cluster, workload))
+    assert candidates
+    assert all(
+        system.mfu_bound(model, cluster, workload, parallel) == math.inf
+        for parallel in candidates
+    )
+
+
+def test_slimpipe_search_evaluates_at_most_a_tenth_of_its_candidates():
+    """A bound that silently became ``+inf`` would pass every other test."""
+    system = SlimPipeSystem()
+    model, cluster, workload = LLAMA_70B, hopper_cluster(128), _workload(64)
+    evaluate = system.evaluate
+    calls = []
+
+    def counting(*args):
+        calls.append(args[-1])
+        return evaluate(*args)
+
+    system.evaluate = counting
+    best = system.best_configuration(model, cluster, workload)
+    candidates = list(system.candidate_configs(model, cluster, workload))
+    assert best.feasible and best.parallel in calls
+    assert len(calls) <= len(candidates) // 10, (len(calls), len(candidates))
 
 
 def test_search_estimator_is_shared_within_and_dropped_after_a_search():
