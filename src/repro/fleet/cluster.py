@@ -32,10 +32,15 @@ id otherwise.  Every policy is deterministic, so a fleet run is a pure
 function of (trace, config, failure plan) — the property the byte-identical
 determinism test pins.
 
-Decode stretches (see :meth:`FleetEngine._stretch_step`) use that bound:
-every stretch step that has a successor and ends strictly before the global
-head is folded in one loop, with no queue event, and priced from the
-batcher's exact decode-FLOPs totals plus the batch's one-token growth.
+Replicas step through the same core as the serving engines
+(:meth:`~repro.serving.engine._Pool.start` and
+:meth:`~repro.serving.engine._Pool.complete`); the loop only decides when.
+A completion starts the replica's next iteration with the global head as
+its horizon, so every decode-stretch step that ends strictly before it folds
+in one loop with no queue event, and only the step that reaches it is
+queued.  Global handlers start iterations with no horizon: they may push
+global events after the start.  Each replica owns its pools' statistics,
+so they outlive a crash.
 
 Replica-hours are metered from provisioning to retirement:
 :data:`GPU_HOURLY_USD` prices them per GPU type, which is what the capacity
@@ -53,17 +58,23 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 from ..analysis.report import render_table
 from ..hardware.gpu import get_gpu_spec
 from ..model.config import ModelConfig
-from ..model.costs import PassKind
 from ..obs import events as obs_events
 from ..obs.events import EventRecorder
-from ..schedules.base import Pass
-from ..serving.batcher import EXACT_FLOPS_BOUND, BatcherConfig, IterationPlan, RequestState
-from ..serving.engine import ServingConfig, _metrics_fold, _Pool
+from ..serving.batcher import BatcherConfig, RequestState
+from ..serving.engine import (
+    PoolCounters,
+    PoolStats,
+    ServingConfig,
+    _IterationCap,
+    _metrics_fold,
+    _Pool,
+    add_iteration_spans,
+)
 from ..serving.metrics import SLO, RequestRecord, ServingMetrics, StreamingMetrics, TenantMetrics
 from ..serving.prefix_cache import prefix_block_keys
 from ..serving.tenancy import TenancyConfig
 from ..serving.workload import Request
-from ..sim.timeline import Timeline, TimelineSpan
+from ..sim.timeline import Timeline
 from .autoscaler import Autoscaler, AutoscalerConfig, FleetView, make_autoscaler
 from .failures import FailurePlan
 from .router import ReplicaSnapshot, Router, get_router
@@ -135,6 +146,12 @@ class FleetConfig:
     def __post_init__(self) -> None:
         if self.gpus_per_replica < 1:
             raise ValueError("gpus_per_replica must be >= 1")
+        if self.block_tokens < 1:
+            raise ValueError(f"block_tokens must be >= 1, not {self.block_tokens!r}")
+        if self.max_total_iterations < 1:
+            raise ValueError(
+                f"max_total_iterations must be >= 1, not {self.max_total_iterations!r}"
+            )
         if not self.gpu_types:
             raise ValueError("gpu_types must name at least one device")
         for name in self.gpu_types:
@@ -154,8 +171,8 @@ class FleetConfig:
             raise ValueError("warm_pool must be non-negative")
         if self.sessions < 0:
             raise ValueError("sessions must be non-negative")
-        if self.tpot_cap is not None and self.tpot_cap <= 0:
-            raise ValueError("tpot_cap must be positive when given")
+        if self.tpot_cap is not None and not self.tpot_cap > 0:
+            raise ValueError(f"tpot_cap must be positive when given, not {self.tpot_cap!r}")
         if self.tenancy is not None:
             limited = [s.name for s in self.tenancy.tenants if s.rate_limit is not None]
             if limited:
@@ -206,48 +223,47 @@ class _ReplicaState(Enum):
 class _Replica:
     """One fleet member: a serving pool plus lifecycle bookkeeping."""
 
-    def __init__(self, replica_id: int, model: ModelConfig, config: FleetConfig):
+    def __init__(
+        self,
+        replica_id: int,
+        model: ModelConfig,
+        config: FleetConfig,
+        cap: _IterationCap,
+        spans: Optional[List[Tuple[int, float, float]]],
+    ):
         self.replica_id = replica_id
         self.gpu_name = config.gpu_for(replica_id)
         self.model = model
         self.fleet_config = config
         self.serving_config = config.serving_config(self.gpu_name)
-        self.pool = _Pool(model, config.gpus_per_replica, self.serving_config)
-        # The batcher's events belong to this replica's track, not a pool
-        # device index (inert when no recorder is configured).
-        self.pool.batcher.obs_track = replica_id
+        # Iteration statistics span every pool incarnation, and so do the
+        # counters of ``pools`` (crashed ones included); the iteration cap
+        # and the span sink are the fleet's.
+        self.stats = PoolStats()
+        self._cap = cap
+        self._spans = spans
+        self.pools: List[_Pool] = []
+        self.pool: Optional[_Pool] = self._new_pool()
         self.state = _ReplicaState.PROVISIONING
         self.draining = False
         self.slowdown = 1.0
         self.slow_until = 0.0
         self.epoch = 0
-        self.busy_plan: Optional[IterationPlan] = None
-        # Decode fast-forward stretch: a pre-validated run of pure-decode
-        # iterations.  ``ff_plan`` is the (constant-composition) plan every
-        # stretch iteration executes; ``ff_steps`` counts the iterations still
-        # allowed *after* the one starting or in flight; ``ff_ids`` holds the
-        # allocator keys.  Each iteration is priced from the batcher's decode
-        # totals.
-        self.ff_plan: Optional[IterationPlan] = None
-        self.ff_steps = 0
-        self.ff_ids: Optional[List[int]] = None
-        # Observability only (maintained when a recorder is attached): the
-        # stretch's start time and completed-iteration count, so the whole
-        # stretch rolls up into one STRETCH event instead of thousands of
-        # per-iteration samples.
-        self.ff_start = 0.0
-        self.ff_done = 0
         self.provisioned_at = 0.0
         self.retired_at: Optional[float] = None
-        self.iterations = 0
         self.requests_served = 0
-        self.busy_time = 0.0
-        self.kv_weighted = 0.0
-        self.kv_peak = 0.0
-        # Batcher counters folded in from pool incarnations lost to crashes.
-        self._folded = [0, 0, 0, 0]  # admitted, prefilled, requeued, preemptions
-        # Prefix-cache counters, same folding discipline (floats for FLOPs).
-        self._prefix_folded = [0, 0, 0.0, 0.0, 0]  # hit_tok, hit_req, saved, executed, evictions
+
+    def _new_pool(self) -> _Pool:
+        pool = _Pool(self.model, self.fleet_config.gpus_per_replica, self.serving_config)
+        # The batcher's events belong to this replica's track, not a pool
+        # device index (inert when no recorder is configured).
+        pool.batcher.obs_track = self.replica_id
+        pool.stats = self.stats
+        pool.cap = self._cap
+        pool.spans = self._spans
+        pool.iteration_event_first = True
+        self.pools.append(pool)
+        return pool
 
     # ------------------------------------------------------------------
     @property
@@ -259,7 +275,7 @@ class _Replica:
 
     @property
     def busy(self) -> bool:
-        return self.busy_plan is not None
+        return self.pool is not None and self.pool.busy is not None
 
     @property
     def has_work(self) -> bool:
@@ -275,21 +291,6 @@ class _Replica:
                 total += state.prefill_remaining
                 total += max(0, state.request.output_tokens - state.decoded)
         return total
-
-    def truncate_stretch(self) -> None:
-        """End the decode stretch after the in-flight iteration.
-
-        Called when the replica's batch composition is about to change (a
-        request was enqueued): the iteration already in flight still matches
-        the naive stepper — work enqueued mid-iteration is only seen by the
-        *next* plan — but every later stretch iteration must be replanned.
-        """
-        self.ff_steps = 0
-
-    def clear_stretch(self) -> None:
-        self.ff_plan = None
-        self.ff_steps = 0
-        self.ff_ids = None
 
     def snapshot(self, request: Optional[Request] = None) -> ReplicaSnapshot:
         batcher = self.pool.batcher
@@ -311,24 +312,17 @@ class _Replica:
         )
 
     # ------------------------------------------------------------------
-    def fail_over(self) -> List[RequestState]:
-        """Crash: surrender every queued and running request, drop the pool.
+    def fail_over(self, now: float) -> List[RequestState]:
+        """Crash at ``now``: surrender every queued and running request, drop the pool.
 
-        In-flight prefill chunks are treated like work later discarded by a
-        preemption — they were counted as prefilled when planned, so the
-        survivors' ``prefilled`` advances to match before the requeue
-        accounting, keeping the fleet-wide conservation law exact.
+        The in-flight iteration is aborted first (:meth:`_Pool.abort`), so
+        the requeue accounting keeps the fleet-wide conservation law exact.
         """
+        self.pool.abort(now)
         batcher = self.pool.batcher
-        if self.busy_plan is not None:
-            for state, chunk in self.busy_plan.prefill:
-                state.prefilled += chunk
-            self.busy_plan = None
-        self.clear_stretch()
         for state in batcher.running:
             batcher.tokens_preempted_requeued += state.prefill_remaining
         lost = list(batcher.running) + list(batcher.waiting)
-        self._fold_counters()
         self.pool = None
         self.epoch += 1
         self.state = _ReplicaState.FAILED
@@ -337,50 +331,10 @@ class _Replica:
 
     def recover(self) -> None:
         """Restart after a crash with a fresh (empty) pool."""
-        self.pool = _Pool(self.model, self.fleet_config.gpus_per_replica, self.serving_config)
-        self.pool.batcher.obs_track = self.replica_id
+        self.pool = self._new_pool()
         self.state = _ReplicaState.ACTIVE
         self.slowdown = 1.0
         self.slow_until = 0.0  # a restart replaces the degraded machine
-
-    def _fold_counters(self) -> None:
-        batcher = self.pool.batcher
-        self._folded[0] += batcher.tokens_admitted
-        self._folded[1] += batcher.tokens_prefilled
-        self._folded[2] += batcher.tokens_preempted_requeued
-        self._folded[3] += batcher.preemptions
-        self._prefix_folded[0] += batcher.prefix_hit_tokens
-        self._prefix_folded[1] += batcher.prefix_hit_requests
-        self._prefix_folded[2] += batcher.prefix_flops_saved
-        self._prefix_folded[3] += batcher.prefill_flops_executed
-        prefix = self.pool.allocator.prefix
-        if prefix is not None:
-            self._prefix_folded[4] += prefix.evicted_blocks
-
-    def counters(self) -> Tuple[int, int, int, int]:
-        """(admitted, prefilled, requeued, preemptions) over all incarnations."""
-        admitted, prefilled, requeued, preemptions = self._folded
-        if self.pool is not None:
-            batcher = self.pool.batcher
-            admitted += batcher.tokens_admitted
-            prefilled += batcher.tokens_prefilled
-            requeued += batcher.tokens_preempted_requeued
-            preemptions += batcher.preemptions
-        return admitted, prefilled, requeued, preemptions
-
-    def prefix_counters(self) -> Tuple[int, int, float, float, int]:
-        """(hit_tokens, hit_requests, flops_saved, flops_executed, evictions)."""
-        hit_tokens, hit_requests, saved, executed, evictions = self._prefix_folded
-        if self.pool is not None:
-            batcher = self.pool.batcher
-            hit_tokens += batcher.prefix_hit_tokens
-            hit_requests += batcher.prefix_hit_requests
-            saved += batcher.prefix_flops_saved
-            executed += batcher.prefill_flops_executed
-            prefix = self.pool.allocator.prefix
-            if prefix is not None:
-                evictions += prefix.evicted_blocks
-        return hit_tokens, hit_requests, saved, executed, evictions
 
     def gpu_seconds(self, end_time: float) -> float:
         end = self.retired_at if self.retired_at is not None else end_time
@@ -501,20 +455,8 @@ class FleetEngine:
         self._seq += 1
         heapq.heappush(self._events, (time, self._seq, kind, payload))
 
-    def _push_completion(self, replica: _Replica, duration: float, now: float) -> None:
-        """Queue the end of the iteration ``replica`` starts at ``now``.
-
-        The entry carries the global push count, so a global event at the
-        same timestamp goes first exactly when it was queued first; among
-        completions the replica id breaks the remaining ties.
-        """
-        heapq.heappush(
-            self._completions,
-            (now + duration, self._seq, replica.replica_id, replica.epoch, duration),
-        )
-
     def _new_replica(self, now: float, delay: float) -> _Replica:
-        replica = _Replica(len(self._replicas), self.model, self.config)
+        replica = _Replica(len(self._replicas), self.model, self.config, self._cap, self._spans)
         replica.provisioned_at = now
         self._replicas.append(replica)
         obs = self._obs
@@ -565,9 +507,7 @@ class FleetEngine:
             )
         state.pool_arrival = now
         replica.pool.batcher.enqueue(state)
-        # New work changes the next plan's composition: end any pre-planned
-        # decode stretch after the iteration currently in flight.
-        replica.truncate_stretch()
+        replica.pool.truncate_stretch()
         self._kick(replica, now)
 
     def _flush_held(self, now: float) -> None:
@@ -591,221 +531,24 @@ class FleetEngine:
         """
         if replica.state is not _ReplicaState.ACTIVE or replica.busy:
             return
-        batcher = replica.pool.batcher
-        if not batcher.has_work:
+        pool = replica.pool
+        if not pool.batcher.has_work:
             if replica.draining:
                 self._retire(replica, now)
             return
-        obs = self._obs
-        prof = obs.profiler if obs is not None else None
-        if obs is not None:
-            batcher.now = now
-        clock_start = prof.clock() if prof is not None else 0.0
-        if self._start_stretch(replica, now, horizon):
-            if prof is not None:
-                prof.add("fast-forward", prof.clock() - clock_start)
-            return
-        plan = batcher.plan(replica.pool.prefill_budget())
-        while plan.empty and batcher.running:
-            if batcher._preempt_victim(plan) is None:
-                break
-            plan = batcher.plan(replica.pool.prefill_budget())
-        if prof is not None:
-            prof.add("admission", prof.clock() - clock_start)
-        if plan.empty:
+        end = pool.start(now, horizon, slowdown=replica.slowdown)
+        if end is None:
             raise RuntimeError(
                 f"replica {replica.replica_id} stalled with queued work "
                 "and no runnable batch"
             )
-        clock_start = prof.clock() if prof is not None else 0.0
-        duration = replica.pool.iteration_time(plan) * replica.slowdown
-        if prof is not None:
-            prof.add("pricing", prof.clock() - clock_start)
-        replica.busy_plan = plan
-        self._push_completion(replica, duration, now)
+        # The entry carries the global push count, so a global event at the
+        # same timestamp goes first exactly when it was queued first; among
+        # completions the replica id breaks the remaining ties.
+        heapq.heappush(self._completions, (end, self._seq, replica.replica_id, replica.epoch))
 
-    def _start_stretch(self, replica: _Replica, now: float, horizon: float) -> bool:
-        """Pre-plan a pure-decode stretch and start its first step.
-
-        The composition (and hence the plan object) is constant across the
-        stretch, so each step reuses it and is priced from the batcher's
-        decode totals — everything else the naive :meth:`_kick` would redo
-        (budget search, scheduler replan, per-request admission checks)
-        provably has no effect mid-stretch.
-        """
-        pool = replica.pool
-        steps = pool.decode_stretch_length()
-        if steps < 1:
-            return False
-        if self._obs is not None:
-            replica.ff_start = now
-            replica.ff_done = 0
-        running = pool.batcher.running
-        replica.ff_ids = [state.request.request_id for state in running]
-        replica.ff_plan = IterationPlan(prefill=[], decode=list(running))
-        replica.ff_steps = steps - 1  # beyond the one started right here
-        self._stretch_step(replica, now, horizon)
-        return True
-
-    def _stretch_step(self, replica: _Replica, now: float, horizon: float) -> None:
-        """Start the replica's next stretch step at ``now``.
-
-        Steps that have a successor in the stretch and end strictly before
-        ``horizon`` — the global queue's head, before which nothing can
-        disturb the replica — fold here without a queue event
-        (:meth:`_fold_stretch`).  The first step that does not is queued
-        like any iteration: it makes the reservations the naive plan would
-        make and is priced from the decode totals.
-        """
-        if replica.ff_steps and now < horizon:
-            now = self._fold_stretch(replica, now, horizon)
-        duration = replica.pool.start_decode_step(replica.ff_ids) * replica.slowdown
-        replica.busy_plan = replica.ff_plan
-        self._push_completion(replica, duration, now)
-
-    def _fold_stretch(self, replica: _Replica, now: float, horizon: float) -> float:
-        """Run the stretch steps that end before ``horizon``; return the last end.
-
-        Step ``k`` of the fold prices from ``(L + k*GL, A + k*GA)``: the
-        batcher's exact decode totals plus ``k`` times the batch's one-token
-        growth.  A decode step's FLOPs are affine in its context (the linear
-        part is constant and attention grows by a fixed amount per key), so
-        that growth is the same at every step, and below
-        :data:`EXACT_FLOPS_BOUND` the sum equals the totals the per-step
-        path would hold, bit for bit.  Each step then folds into the
-        replica's statistics exactly as :meth:`_complete_iteration` would,
-        in the same order; the KV utilization it reads grows by one token
-        per request per step, so its peak is the last step's.  Afterwards
-        the batch state is committed once (decode progress and KV
-        reservations).  When the totals are not exact, or the stretch could
-        reach the bound, no step folds.
-        """
-        pool = replica.pool
-        batcher = pool.batcher
-        totals = batcher.decode_growth()
-        if totals is None:
-            return now
-        linear, attention, grow_linear, grow_attention = totals
-        limit = replica.ff_steps
-        if (
-            linear + limit * grow_linear >= EXACT_FLOPS_BOUND
-            or attention + limit * grow_attention >= EXACT_FLOPS_BOUND
-        ):
-            return now
-        pair_time = pool._pair_time
-        batch = batcher.decode_count
-        slowdown = replica.slowdown
-        allocator = pool.allocator
-        capacity = allocator.total_blocks * allocator.block_tokens
-        stored = allocator.stored_tokens
-        kv_weighted = replica.kv_weighted
-        busy_time = replica.busy_time
-        utilization = 0.0
-        total = self._total_iterations
-        cap = self.config.max_total_iterations
-        spans = self._spans
-        replica_id = replica.replica_id
-        steps = 0
-        while steps < limit:
-            duration = pair_time(
-                linear + steps * grow_linear, attention + steps * grow_attention, batch
-            ) * slowdown
-            end = now + duration
-            if end >= horizon:
-                break
-            steps += 1
-            stored += batch
-            utilization = stored / capacity
-            kv_weighted += utilization * duration
-            busy_time += duration
-            total += 1
-            if total > cap:
-                raise RuntimeError(f"fleet exceeded {cap} iterations")
-            if spans is not None:
-                spans.append((replica_id, end - duration, end))
-            now = end
-        if not steps:
-            return now
-        replica.kv_weighted = kv_weighted
-        replica.busy_time = busy_time
-        # Utilization rises every step, so the last step's is the fold's peak.
-        replica.kv_peak = max(replica.kv_peak, utilization)
-        replica.iterations += steps
-        self._total_iterations = total
-        if self._obs is not None:
-            replica.ff_done += steps
-        replica.ff_steps -= steps
-        pool.commit_decode_stretch(steps)
-        if batcher.decode_flops() != (
-            linear + steps * grow_linear, attention + steps * grow_attention
-        ):
-            raise RuntimeError(
-                "decode-step FLOPs are not affine in the context, so the "
-                "folded stretch was mispriced; run with fast_forward=False"
-            )
-        return now
-
-    def _complete_iteration(
-        self, replica: _Replica, duration: float, now: float, horizon: float
-    ) -> None:
-        plan = replica.busy_plan
-        stretch = plan is not None and plan is replica.ff_plan
-        replica.busy_plan = None
-        pool = replica.pool
-        utilization = pool.allocator.token_utilization
-        replica.kv_weighted += utilization * duration
-        replica.busy_time += duration
-        replica.kv_peak = max(replica.kv_peak, utilization)
-        replica.iterations += 1
-        self._total_iterations += 1
-        if self._total_iterations > self.config.max_total_iterations:
-            raise RuntimeError(
-                f"fleet exceeded {self.config.max_total_iterations} iterations"
-            )
-        if self._spans is not None:
-            self._spans.append((replica.replica_id, now - duration, now))
-        obs = self._obs
-        if obs is not None:
-            if stretch:
-                # Stretch iterations are uniform by construction; they roll
-                # up into one STRETCH event when the stretch ends (below, or
-                # at the crash site) instead of one sample per iteration.
-                replica.ff_done += 1
-            else:
-                batcher = pool.batcher
-                obs.emit(
-                    now, obs_events.ITERATION, replica.replica_id, None,
-                    (
-                        duration,
-                        plan.prefill_tokens,
-                        len(plan.decode),
-                        len(batcher.waiting),
-                        len(batcher.running),
-                        utilization,
-                    ),
-                )
-        if stretch:
-            # Exactly what batcher.commit() does for a pure-decode plan whose
-            # requests all have further tokens to go: no departures, no
-            # release, just one decoded token each (totals included).
-            pool.batcher.advance_decodes(plan.decode, 1)
-            if replica.ff_steps > 0:
-                replica.ff_steps -= 1
-                self._stretch_step(replica, now, horizon)
-            else:
-                if obs is not None:
-                    obs.emit(
-                        now, obs_events.STRETCH, replica.replica_id, None,
-                        (replica.ff_done, len(plan.decode), replica.ff_start, utilization),
-                    )
-                replica.clear_stretch()
-                self._kick(replica, now, horizon)
-            return
-        prof = obs.profiler if obs is not None else None
-        clock_start = prof.clock() if prof is not None else 0.0
-        departed = pool.batcher.commit(plan, now)
-        if prof is not None:
-            prof.add("commit", prof.clock() - clock_start)
+    def _complete_iteration(self, replica: _Replica, now: float, horizon: float) -> None:
+        departed = replica.pool.complete(now)
         replica.requests_served += len(departed)
         self._finished += len(departed)
         for state in departed:
@@ -844,10 +587,9 @@ class FleetEngine:
         hit_tokens = prefilled = 0
         if self.config.prefix_caching:
             for replica in self._replicas:
-                tokens, _, _, _, _ = replica.prefix_counters()
-                _, done, _, _ = replica.counters()
-                hit_tokens += tokens
-                prefilled += done
+                for pool in replica.pools:
+                    hit_tokens += pool.batcher.prefix_hit_tokens
+                    prefilled += pool.batcher.tokens_prefilled
         required = hit_tokens + prefilled
         tenant_depths: Dict[str, int] = {}
         if self.config.tenancy is not None:
@@ -946,23 +688,7 @@ class FleetEngine:
             self._push(now + event.duration, _SLOW_END, victim.replica_id)
             return
         self._crashes += 1
-        if (
-            self._obs is not None
-            and victim.ff_plan is not None
-            and victim.ff_done > 0
-        ):
-            # The crash aborts a stretch mid-flight; flush the completed
-            # portion so the trace shows the work that did happen.
-            self._obs.emit(
-                now, obs_events.STRETCH, victim.replica_id, None,
-                (
-                    victim.ff_done,
-                    len(victim.ff_plan.decode),
-                    victim.ff_start,
-                    victim.pool.allocator.token_utilization,
-                ),
-            )
-        lost = victim.fail_over()
+        lost = victim.fail_over(now)
         if self._obs is not None:
             self._obs.emit(
                 now, obs_events.CRASH, victim.replica_id, None, (len(lost),)
@@ -1032,7 +758,7 @@ class FleetEngine:
         self._replicas: List[_Replica] = []
         self._held: List[RequestState] = []
         self._finished = 0
-        self._total_iterations = 0
+        self._cap = _IterationCap(cfg.max_total_iterations, "fleet")
         self._rerouted = 0
         self._crashes = 0
         self._slow_events = 0
@@ -1096,11 +822,11 @@ class FleetEngine:
                     if horizon < head[0] or (horizon == head[0] and events[0][1] <= head[1]):
                         head = None  # the global event goes first
                 if head is not None:
-                    now, _, replica_id, epoch, duration = heapq.heappop(completions)
+                    now, _, replica_id, epoch = heapq.heappop(completions)
                     replica = self._replicas[replica_id]
-                    if replica.epoch == epoch and replica.busy_plan is not None:
+                    if replica.epoch == epoch and replica.busy:
                         # (otherwise the replica crashed while this ran)
-                        self._complete_iteration(replica, duration, now, horizon)
+                        self._complete_iteration(replica, now, horizon)
                         if self._finished >= self._num_requests:
                             end_time = now
                             break
@@ -1164,35 +890,18 @@ class FleetEngine:
     # ------------------------------------------------------------------
     def _collect(self, records: List[RequestRecord], end_time: float) -> FleetResult:
         duration = max(end_time - self._first_arrival, 1e-12)
-        busy = sum(r.busy_time for r in self._replicas)
+        busy = sum(r.stats.busy_time for r in self._replicas)
         kv_mean = (
-            sum(r.kv_weighted for r in self._replicas) / busy if busy > 0 else 0.0
+            sum(r.stats.kv_weighted for r in self._replicas) / busy if busy > 0 else 0.0
         )
-        admitted = prefilled = requeued = preemptions = 0
-        hit_tokens = hit_requests = prefix_evictions = 0
-        flops_saved = flops_executed = 0.0
+        counters = PoolCounters()
         for replica in self._replicas:
-            a, p, q, e = replica.counters()
-            admitted += a
-            prefilled += p
-            requeued += q
-            preemptions += e
-            ht, hr, fs, fe, ev = replica.prefix_counters()
-            hit_tokens += ht
-            hit_requests += hr
-            flops_saved += fs
-            flops_executed += fe
-            prefix_evictions += ev
-        required = hit_tokens + prefilled
-        metrics = self._metrics.finalize(
+            counters.add(PoolCounters.of(replica.pools))
+        metrics = counters.finalize(
+            self._metrics,
             duration,
-            kv_utilization_mean=kv_mean,
-            kv_utilization_peak=max((r.kv_peak for r in self._replicas), default=0.0),
-            preemptions=preemptions,
-            prefix_hit_rate=hit_tokens / required if required else 0.0,
-            prefix_hit_tokens=hit_tokens,
-            prefix_flops_saved=flops_saved,
-            prefix_evictions=prefix_evictions,
+            kv_mean,
+            max((r.stats.kv_peak for r in self._replicas), default=0.0),
         )
         hours_by_type: Dict[str, float] = {}
         for replica in self._replicas:
@@ -1235,36 +944,16 @@ class FleetEngine:
             # Folded stretch steps are recorded ahead of the queue, so spans
             # are ordered here: by completion time, then replica id.
             timeline = Timeline(num_devices=len(self._replicas))
-            spans = sorted(self._spans, key=lambda span: (span[2], span[0]))
-            for index, (device, start, end) in enumerate(spans):
-                timeline.add(
-                    TimelineSpan(
-                        device=device,
-                        work=Pass(
-                            kind=PassKind.FORWARD,
-                            microbatch=index,
-                            stage=0,
-                            device=device,
-                        ),
-                        start=start,
-                        end=end,
-                    )
-                )
+            add_iteration_spans(
+                timeline, sorted(self._spans, key=lambda span: (span[2], span[0]))
+            )
         return FleetResult(
             metrics=metrics,
             fleet=stats,
             records=records,
-            iterations=self._total_iterations,
-            tokens_admitted=admitted,
-            tokens_prefilled=prefilled,
-            tokens_preempted_requeued=requeued,
-            preemptions=preemptions,
+            iterations=self._cap.count,
             timeline=timeline,
-            prefix_hit_tokens=hit_tokens,
-            prefix_hit_requests=hit_requests,
-            prefix_flops_saved=flops_saved,
-            prefill_flops_executed=flops_executed,
-            prefix_evictions=prefix_evictions,
             retain_records=self.config.retain_records,
             tenant_metrics=self._metrics.tenant_metrics(duration),
+            **vars(counters),
         )

@@ -30,7 +30,8 @@ Modules
     token-bucket gating, prefix-cache consultation on admission and block
     publication as prefill commits.
 ``engine``
-    Discrete-event serving loops — colocated, and prefill/decode
+    The stepping core every pool runs on (including each fleet replica),
+    and the serving engines it drives — colocated, and prefill/decode
     disaggregated with comm-priced KV hand-off.
 ``metrics``
     TTFT/TPOT/E2E percentiles, goodput under SLO, KV utilization, prefix
@@ -44,9 +45,6 @@ Modules
     (``TenancyConfig`` / ``TenantSpec``), consumed by the batcher's
     ``fair`` policy.  Entirely opt-in: ``tenancy=None`` (the default)
     leaves every run byte-identical to a build without this module.
-``columnar``
-    Struct-of-arrays decode state backing the pure-decode stretch planner's
-    vectorized block-growth bound and bulk commit.
 ``scenarios``
     Named scenario registry (chat, RAG, 512K summarisation, bursty
     long-prompt, mixed fleet, shared-system-prompt, rag-shared-corpus,
@@ -55,7 +53,6 @@ Modules
 """
 
 from .batcher import BatcherConfig, ContinuousBatcher, IterationPlan, Phase, RequestState
-from .columnar import DecodeColumns
 from .engine import DisaggregatedEngine, ServingConfig, ServingEngine, ServingResult
 from .metrics import (
     SLO,
@@ -118,7 +115,6 @@ __all__ = [
     "agentic_tree_trace",
     "replay_trace",
     "merge_traces",
-    "DecodeColumns",
     "PrefixCache",
     "PrefixCacheStats",
     "prefix_block_keys",

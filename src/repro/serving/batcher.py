@@ -689,11 +689,14 @@ class ContinuousBatcher:
         return self._attach_decode_flops(plan)
 
     def _attach_decode_flops(self, plan: IterationPlan) -> IterationPlan:
-        """Attach the exact decode-FLOPs totals when the plan decodes them all."""
+        """Attach the exact decode-FLOPs totals when the plan decodes them all.
+
+        A plan reused across iterations (a pool's decode stretch) drops
+        totals that are no longer exact.
+        """
         if self.decode_table is not None and len(plan.decode) == self.decode_count:
             flops = self.decode_flops()
-            if self._decode_exact:
-                plan.decode_flops = flops
+            plan.decode_flops = flops if self._decode_exact else None
         return plan
 
     def _admit(self, plan: IterationPlan, budget: int) -> None:

@@ -28,32 +28,57 @@ Capacity is derived, not configured: per-GPU HBM minus bf16 weights minus an
 activation reserve, divided into fixed-size KV blocks priced by
 :func:`~repro.model.memory.kv_cache_bytes_per_token_per_layer`.
 
-Decode fast-forwarding
-----------------------
+One stepping core
+-----------------
+Every pool — the colocated pool, each half of a disaggregated pair and every
+fleet replica — is stepped by the same two :class:`_Pool` calls, in the
+iteration-level scheduling style of Orca (Yu et al., OSDI 2022):
+
+* :meth:`_Pool.start` starts the next iteration at ``now`` and returns its
+  end: it plans, preempts and replans, and prices — or, for a stable
+  pure-decode batch, starts a *stretch* (below);
+* :meth:`_Pool.complete` completes the in-flight iteration at its end: the
+  KV-utilization, busy-time and iteration statistics, the iteration cap,
+  the timeline span, the ITERATION or STRETCH event and the commit.
+
+The callers only decide *when*.  :meth:`_Pool.run` is the serving loop: it
+ingests arrivals, bounds every start by the next arrival and jumps idle time
+(to the next arrival or a token-bucket refill).  The fleet loop
+(:mod:`repro.fleet.cluster`) routes, scales and fails replicas around the
+same calls and queues the completions they return.  Statistics land on a
+:class:`PoolStats` the caller owns, so a fleet replica's outlive a crashed
+pool.
+
+Decode stretches
+----------------
 Most iterations of a drained trace are *pure decode over a stable batch*: no
 request waiting, no prefill chunk in flight, nothing finishing, no KV block
-pressure.  Stepping those one at a time re-runs the scheduler, the SLO
-budget search and the FLOPs pricing only to conclude "the same batch decodes
-one more token".  With ``ServingConfig.fast_forward`` (the default) the pool
-detects such a stretch, bounds its safe length analytically (next arrival,
-first finishing request, first un-satisfiable KV-block growth) and executes
-it in one coalesced inner loop that replays *bit-identical* per-iteration
-arithmetic — durations, KV-utilization integrals and timestamps come out
+pressure.  Re-running the scheduler, the SLO budget search and the pricing
+for them only concludes "the same batch decodes one more token".  With
+``ServingConfig.fast_forward`` (the default) :meth:`_Pool.start` bounds such
+a stretch analytically (first finishing request, first un-satisfiable
+KV-block growth) and folds every step that ends strictly before the caller's
+horizon (the next arrival, or the fleet's next global event) in one loop.
+Step ``k`` prices from ``(L + k*GL, A + k*GA)``: the batcher's exact decode
+totals plus ``k`` times the batch's one-token growth.  The step that reaches
+the horizon, and the stretch's last step, run as ordinary in-flight
+iterations.  Durations, KV-utilization integrals and timestamps come out
 byte-equal to the naive stepper, which stays available as the reference
 oracle via ``fast_forward=False``.
 
-Iterations that do not coalesce are priced from the batcher's running
+Iterations that do not coalesce are priced from the same running
 decode-FLOPs totals (:meth:`ContinuousBatcher.decode_flops`): the decode
 part of an iteration and the prefill-budget search cost O(prefill chunks),
 not O(batch).  FLOPs components are integer-valued floats, so below
 :data:`~repro.serving.batcher.EXACT_FLOPS_BOUND` (2^53) the totals equal the
 ordered per-iteration fold bit for bit; at or above it pricing takes that
-ordered fold instead.
+ordered fold instead, and no stretch step folds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache, partial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -77,7 +102,6 @@ from .batcher import (
     Phase,
     RequestState,
 )
-from .columnar import DecodeColumns
 from .metrics import SLO, RequestRecord, ServingMetrics, StreamingMetrics, TenantMetrics
 from .paged_kv import PagedKVAllocator
 from .tenancy import TenancyConfig
@@ -143,8 +167,15 @@ class ServingConfig:
             raise ValueError("memory_utilization must be in (0, 1]")
         if not 0.0 <= self.activation_reserve_fraction < 1.0:
             raise ValueError("activation_reserve_fraction must be in [0, 1)")
-        if self.tpot_cap is not None and self.tpot_cap <= 0:
-            raise ValueError("tpot_cap must be positive when given")
+        if self.tpot_cap is not None and not self.tpot_cap > 0:
+            raise ValueError(f"tpot_cap must be positive when given, not {self.tpot_cap!r}")
+        if not 0.0 <= self.iteration_overhead < math.inf:
+            raise ValueError(
+                "iteration_overhead must be a finite non-negative number of seconds, "
+                f"not {self.iteration_overhead!r}"
+            )
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, not {self.max_iterations!r}")
 
 
 @dataclass
@@ -187,22 +218,96 @@ class ServingResult:
 
 
 @dataclass
-class _PoolRun:
-    """Outcome of draining one pool."""
+class PoolStats:
+    """What a pool's completed iterations add up to.
 
-    end_time: float
-    departed: List[RequestState]
-    iterations: int
-    kv_mean: float
-    kv_peak: float
-    busy_time: float
+    Owned by whoever steps the pool, so a fleet replica's statistics outlive a
+    crashed pool.
+    """
+
+    iterations: int = 0
+    busy_time: float = 0.0
+    #: KV utilization integrated over busy time.
+    kv_weighted: float = 0.0
+    kv_peak: float = 0.0
+
+    @property
+    def kv_mean(self) -> float:
+        return self.kv_weighted / self.busy_time if self.busy_time > 0 else 0.0
 
 
-#: Decode-batch size above which the stretch planner switches from the
-#: scalar growth fold to the columnar (numpy) plan.  Below it, array
-#: construction costs more than it saves; both paths are integer-exact and
-#: interchangeable (pinned by the fast-forward equivalence suite).
-COLUMNAR_MIN_BATCH = 64
+@dataclass
+class PoolCounters:
+    """Token, preemption and prefix-cache counters, summed over pools.
+
+    The counters every serving and fleet result reports; each sum runs in
+    pool order from zero.
+    """
+
+    tokens_admitted: int = 0
+    tokens_prefilled: int = 0
+    tokens_preempted_requeued: int = 0
+    preemptions: int = 0
+    prefix_hit_tokens: int = 0
+    prefix_hit_requests: int = 0
+    prefix_flops_saved: float = 0.0
+    prefill_flops_executed: float = 0.0
+    prefix_evictions: int = 0
+
+    @classmethod
+    def of(cls, pools: Iterable["_Pool"]) -> "PoolCounters":
+        """The counters of ``pools``: their batchers' plus prefix evictions."""
+        totals = cls()
+        for pool in pools:
+            prefix = pool.allocator.prefix
+            evictions = prefix.evicted_blocks if prefix is not None else 0
+            counts = {name: getattr(pool.batcher, name) for name in _BATCHER_COUNTERS}
+            totals.add(cls(**counts, prefix_evictions=evictions))
+        return totals
+
+    def add(self, other: "PoolCounters") -> None:
+        for name, value in vars(other).items():
+            setattr(self, name, getattr(self, name) + value)
+
+    @property
+    def prefix_hit_rate(self) -> float:
+        """Fraction of required prompt tokens served from the prefix cache."""
+        required = self.prefix_hit_tokens + self.tokens_prefilled
+        return self.prefix_hit_tokens / required if required else 0.0
+
+    def finalize(
+        self, fold: StreamingMetrics, duration: float, kv_mean: float, kv_peak: float
+    ) -> ServingMetrics:
+        """The run's metrics: ``fold``'s latencies plus these counters."""
+        return fold.finalize(
+            duration,
+            kv_utilization_mean=kv_mean,
+            kv_utilization_peak=kv_peak,
+            preemptions=self.preemptions,
+            prefix_hit_rate=self.prefix_hit_rate,
+            prefix_hit_tokens=self.prefix_hit_tokens,
+            prefix_flops_saved=self.prefix_flops_saved,
+            prefix_evictions=self.prefix_evictions,
+        )
+
+
+#: The :class:`PoolCounters` a pool's batcher keeps under the same names
+#: (all but ``prefix_evictions``, which its prefix cache counts).
+_BATCHER_COUNTERS = [f.name for f in fields(PoolCounters) if f.name != "prefix_evictions"]
+
+
+@dataclass
+class _IterationCap:
+    """An iteration budget shared by every pool that draws on it."""
+
+    limit: int
+    owner: str
+    count: int = 0
+
+    def spend(self, iterations: int) -> None:
+        self.count += iterations
+        if self.count > self.limit:
+            raise RuntimeError(f"{self.owner} exceeded {self.limit} iterations")
 
 
 @lru_cache(maxsize=1 << 17)
@@ -231,7 +336,7 @@ def _prefill_flops_cached(
 
 
 class _Pool:
-    """One GPU pool: allocator + batcher + cost model + event loop."""
+    """One GPU pool: allocator + batcher + cost model + the stepping core."""
 
     def __init__(
         self,
@@ -285,9 +390,29 @@ class _Pool:
         self._fwd_attention_rate = gpu.peak_flops * gpu.attention_efficiency_forward
         self._intensity_knee = gpu.intensity_tokens
         self._launch_overhead = gpu.kernel_launch_overhead
-        # Columnar snapshot of the batch behind the most recent successful
-        # stretch plan; the stretch executor reuses it for the bulk commit.
-        self._stretch_columns: Optional[DecodeColumns] = None
+        # The caller owns the statistics, the iteration cap and the span sink
+        # ((track, start, end) per iteration, or None).  ITERATION goes out
+        # after the commit (serving's order) unless ``iteration_event_first``
+        # (the fleet's).
+        self.stats = PoolStats()
+        self.cap = _IterationCap(config.max_iterations, "serving loop")
+        self.spans: Optional[List[Tuple[int, float, float]]] = None
+        self.iteration_event_first = False
+        # Token buckets refill against the batcher's clock, so it must track
+        # simulated time whenever admission control is live (the recorder
+        # needs it for event timestamps anyway).
+        self._track_now = self.obs is not None or bool(self.batcher._buckets)
+        # The in-flight iteration: its plan (None when idle) and duration.
+        self.busy: Optional[IterationPlan] = None
+        self._busy_duration = 0.0
+        # The decode stretch under way: its constant plan and allocator keys,
+        # the steps it may run after the in-flight one, its start time and
+        # its completed steps.
+        self._stretch: Optional[IterationPlan] = None
+        self._stretch_ids: List[int] = []
+        self._stretch_left = 0
+        self._stretch_start = 0.0
+        self._stretch_done = 0
 
     # ------------------------------------------------------------------
     # Capacity
@@ -357,15 +482,6 @@ class _Pool:
             linear += pair[0]
             attention += pair[1]
         return self._pair_time(linear, attention, len(contexts))
-
-    def running_decode_time(self) -> float:
-        """Duration of one pure-decode iteration over the running decodes.
-
-        Priced from the batcher's decode totals, so it equals
-        :meth:`decode_iteration_time` over their contexts in running order.
-        """
-        linear, attention = self.batcher.decode_flops()
-        return self._pair_time(linear, attention, self.batcher.decode_count)
 
     def iteration_time(self, plan: IterationPlan) -> float:
         """Duration of one planned iteration.
@@ -455,7 +571,7 @@ class _Pool:
         return lo
 
     # ------------------------------------------------------------------
-    # Decode fast-forwarding
+    # The stepping core
     # ------------------------------------------------------------------
     def decode_stretch_length(self) -> int:
         """Iterations the current batch can decode without a structural event.
@@ -469,8 +585,8 @@ class _Pool:
         * the first decode step whose KV-block growth the pool cannot
           satisfy (that iteration must go through preemption planning).
 
-        Arrivals are the caller's bound: the stretch executor stops as soon
-        as simulated time reaches the next arrival.
+        Arrivals are the caller's bound: :meth:`start` folds only the steps
+        that end before its horizon.
         """
         if not self.config.fast_forward:
             return 0
@@ -500,110 +616,294 @@ class _Pool:
         steps = limit - 1
         if steps < 1:
             return 0
-        if n < COLUMNAR_MIN_BATCH:
-            # Small batches: the scalar fold beats the columnar plan's numpy
-            # array construction (fleet replicas and chat-scale pools live
-            # here), and the common case needs exactly one growth probe.
-            self._stretch_columns = None
-            contexts = [state.context_tokens for state in running]
-            block_tokens = allocator.block_tokens
-            held = [allocator.blocks_held(state.request.request_id) for state in running]
-            free = allocator.free_blocks
+        contexts = [state.context_tokens for state in running]
+        block_tokens = allocator.block_tokens
+        held = [allocator.blocks_held(state.request.request_id) for state in running]
+        free = allocator.free_blocks
 
-            def growth(step: int) -> int:
-                """Extra blocks needed by the reservations of iteration ``step``."""
-                need = 0
-                for context, blocks in zip(contexts, held):
-                    extra = (context + step + block_tokens - 1) // block_tokens - blocks
-                    if extra > 0:
-                        need += extra
-                return need
+        def growth(step: int) -> int:
+            """Extra blocks needed by the reservations of iteration ``step``."""
+            need = 0
+            for context, blocks in zip(contexts, held):
+                extra = (context + step + block_tokens - 1) // block_tokens - blocks
+                if extra > 0:
+                    need += extra
+            return need
 
-            # ``free`` excludes unreferenced shared prefix blocks on purpose:
-            # a step that would have to reclaim cache space must run on the
-            # naive path (reclamation changes stored tokens, which the
-            # stretch tracks incrementally).
-            if growth(steps - 1) > free:
-                if growth(0) > free:
-                    return 0  # the very next decode step already needs preemption
-                low, high = 0, steps - 1  # growth(low) fits, growth(high) does not
-                while high - low > 1:
-                    mid = (low + high) // 2
-                    if growth(mid) <= free:
-                        low = mid
-                    else:
-                        high = mid
-                steps = low + 1
-            return steps
-        # Columnar plan: context lengths and blocks held become int64 arrays,
-        # so the KV-growth bound (and later the commit's reservation plan)
-        # are vectorized folds — integer arithmetic, hence still bit-exact.
-        columns = DecodeColumns(
-            [state.request.request_id for state in running],
-            [state.context_tokens for state in running],
-            [allocator.blocks_held(state.request.request_id) for state in running],
-            allocator.block_tokens,
-        )
-        # ``free_blocks`` excludes unreferenced shared prefix blocks on
-        # purpose: a step that would have to reclaim cache space must run on
-        # the naive path (reclamation changes stored tokens, which the
-        # stretch tracks incrementally).
-        steps = columns.stretch_bound(steps, allocator.free_blocks)
-        self._stretch_columns = columns if steps > 0 else None
+        # ``free`` excludes unreferenced shared prefix blocks on purpose: a
+        # step that would have to reclaim cache space must run on the naive
+        # path (reclamation changes stored tokens, which the stretch tracks
+        # incrementally).  The common case needs exactly one growth probe.
+        if growth(steps - 1) > free:
+            if growth(0) > free:
+                return 0  # the very next decode step already needs preemption
+            low, high = 0, steps - 1  # growth(low) fits, growth(high) does not
+            while high - low > 1:
+                mid = (low + high) // 2
+                if growth(mid) <= free:
+                    low = mid
+                else:
+                    high = mid
+            steps = low + 1
         return steps
 
-    def start_decode_step(self, request_ids: List[int]) -> float:
-        """Reserve one stretch step's KV for the running decodes; price the step.
+    @property
+    def in_stretch(self) -> bool:
+        """Whether the in-flight iteration is a step of a decode stretch."""
+        return self._stretch is not None
 
-        The reservations the naive :meth:`ContinuousBatcher.plan` would make
-        for the step (the token each request generates claims its slot), so
-        the KV utilization read when the step ends matches the naive
-        stepper.  The growth moves block counts, so it drops any columnar
-        stretch plan.
+    def truncate_stretch(self) -> None:
+        """End the decode stretch after the in-flight iteration.
+
+        Called when work joins the pool: the iteration in flight still
+        matches the naive stepper (work arriving mid-iteration is seen by the
+        next plan), but every later step must be replanned.
         """
-        self._stretch_columns = None
-        self.allocator.advance_decode_step(request_ids)
-        return self.running_decode_time()
+        self._stretch_left = 0
 
-    def commit_decode_stretch(self, steps: int) -> None:
-        """Credit ``steps`` decode steps to the running batch and commit its KV.
+    def start(
+        self, now: float, horizon: float = math.inf, slack: float = 0.0, slowdown: float = 1.0
+    ) -> Optional[float]:
+        """Start the next iteration of an idle pool with work at ``now``; return its end.
 
-        The end-of-stretch commit both engines share: every running decode
-        gains ``steps`` tokens (decode totals included) and its reservation
-        grows to ``context - 1`` (the token the last step generated claims
-        its slot next step).  Large batches commit through the columnar plan
-        of the latest :meth:`decode_stretch_length`, which describes the
-        batch as it stood before these steps; small ones grow per request,
-        reserving only across block boundaries.  The two are exactly
-        equivalent (``bulk_reserve_decode`` replays ``reserve``'s
-        bookkeeping in the same order).
+        A stable pure-decode batch starts, or continues, a decode stretch:
+        the steps that end strictly before ``horizon`` (``end + slack <
+        horizon``) fold here (:meth:`_fold_stretch`) and the next step is
+        the in-flight iteration.  Otherwise the batcher plans, preempting a
+        victim and replanning while the plan is empty, and the plan is
+        priced.  Every duration is scaled by ``slowdown``.  Returns ``None``
+        when no batch can run: the caller then waits for an arrival or a
+        token-bucket refill, or reports a stall.
         """
         batcher = self.batcher
-        running = batcher.running
-        columns = self._stretch_columns
-        batcher.advance_decodes(running, steps)
-        allocator = self.allocator
-        if columns is None:
-            for state in running:
-                rid = state.record.request.request_id
-                reserved = state.context_tokens - 1
-                if not allocator.grow_in_place(rid, reserved):
-                    allocator.reserve(rid, reserved)
+        if self._track_now:
+            batcher.now = now
+        prof = self.obs.profiler if self.obs is not None else None
+        clock_start = prof.clock() if prof is not None else 0.0
+        if self._stretch is not None:
+            self._stretch_left -= 1
         else:
-            new_totals, extra_blocks = columns.commit_plan(steps)
-            allocator.bulk_reserve_decode(columns.request_ids, new_totals, extra_blocks)
-            self._stretch_columns = None
+            steps = self.decode_stretch_length()
+            if steps:
+                running = batcher.running
+                self._stretch = IterationPlan(prefill=[], decode=list(running))
+                self._stretch_ids = [state.request.request_id for state in running]
+                self._stretch_left = steps - 1
+                self._stretch_start = now
+                self._stretch_done = 0
+        if self._stretch is not None:
+            if self._stretch_left and now < horizon:
+                now = self._fold_stretch(now, horizon, slack, slowdown)
+            # The step's reservations are the ones the naive plan would make
+            # (the token each request generates claims its slot), so the KV
+            # utilization read when it completes matches the naive stepper.
+            self.allocator.bulk_reserve_decode(self._stretch_ids, 1)
+            plan = batcher._attach_decode_flops(self._stretch)
+            phase = "fast-forward"
+        else:
+            while True:
+                plan = batcher.plan(self.prefill_budget())
+                if not plan.empty or batcher._preempt_victim(plan) is None:
+                    break  # a runnable batch, or nobody left to preempt
+            phase = "admission"
+        if prof is not None:
+            prof.add(phase, prof.clock() - clock_start)
+        if plan.empty:
+            return None
+        clock_start = prof.clock() if prof is not None else 0.0
+        duration = self.iteration_time(plan) * slowdown
+        if prof is not None:
+            prof.add("pricing", prof.clock() - clock_start)
+        self.busy = plan
+        self._busy_duration = duration
+        return now + duration
+
+    def _fold_stretch(self, now: float, horizon: float, slack: float, slowdown: float) -> float:
+        """Run the stretch steps that end before ``horizon``; return the last end.
+
+        Step ``k`` of the fold prices from ``(L + k*GL, A + k*GA)``: the
+        batcher's exact decode totals plus ``k`` times the batch's one-token
+        growth.  A decode step's FLOPs are affine in its context (the linear
+        part is constant and attention grows by a fixed amount per key), so
+        that growth is the same at every step, and below
+        :data:`EXACT_FLOPS_BOUND` the sum equals the totals the per-step
+        path would hold, bit for bit.  Each step folds into the statistics
+        exactly as :meth:`complete` would, in the same order; the KV
+        utilization it reads grows by one token per request per step, so its
+        peak is the last step's.  Afterwards the batch state is committed
+        once (:meth:`commit_decode_stretch`).  When the totals are not
+        exact, or the stretch could reach the bound, no step folds.
+        """
+        batcher = self.batcher
+        totals = batcher.decode_growth()
+        if totals is None:
+            return now
+        linear, attention, grow_linear, grow_attention = totals
+        limit = self._stretch_left
+        if (
+            linear + limit * grow_linear >= EXACT_FLOPS_BOUND
+            or attention + limit * grow_attention >= EXACT_FLOPS_BOUND
+        ):
+            return now
+        pair_time = self._pair_time
+        batch = batcher.decode_count
+        allocator = self.allocator
+        capacity = allocator.total_blocks * allocator.block_tokens
+        stored = allocator.stored_tokens
+        stats = self.stats
+        kv_weighted = stats.kv_weighted
+        busy_time = stats.busy_time
+        utilization = 0.0
+        spans = self.spans
+        track = batcher.obs_track
+        steps = 0
+        while steps < limit:
+            duration = pair_time(
+                linear + steps * grow_linear, attention + steps * grow_attention, batch
+            ) * slowdown
+            end = now + duration
+            if end + slack >= horizon:
+                break
+            steps += 1
+            stored += batch
+            utilization = stored / capacity
+            kv_weighted += utilization * duration
+            busy_time += duration
+            if spans is not None:
+                spans.append((track, end - duration, end))
+            now = end
+        if not steps:
+            return now
+        self.cap.spend(steps)
+        stats.iterations += steps
+        stats.kv_weighted = kv_weighted
+        stats.busy_time = busy_time
+        stats.kv_peak = max(stats.kv_peak, utilization)
+        self._stretch_left -= steps
+        self._stretch_done += steps
+        self.commit_decode_stretch(steps)
+        if batcher.decode_flops() != (
+            linear + steps * grow_linear, attention + steps * grow_attention
+        ):
+            raise RuntimeError(
+                "decode-step FLOPs are not affine in the context, so the "
+                "folded stretch was mispriced; run with fast_forward=False"
+            )
+        return now
+
+    def commit_decode_stretch(self, steps: int) -> None:
+        """Credit ``steps`` folded stretch steps to the batch and commit its KV.
+
+        Every stretch decode gains ``steps`` tokens (decode totals included)
+        and its reservation grows by as many (the token the last step
+        generated claims its slot next step), in one allocator pass.
+        """
+        self.batcher.advance_decodes(self._stretch.decode, steps)
+        self.allocator.bulk_reserve_decode(self._stretch_ids, steps)
+
+    def complete(self, now: float) -> List[RequestState]:
+        """Complete the in-flight iteration, which ends at ``now``.
+
+        Folds it into :attr:`stats` (with the KV utilization the iteration
+        leaves before its commit), spends one iteration of :attr:`cap`,
+        records its span and its event, and commits it.  A stretch step
+        credits one decoded token per request — all the commit does for a
+        pure-decode plan with no departure — and the stretch's last step
+        emits its STRETCH roll-up.  Returns the requests that left the pool.
+        """
+        plan = self.busy
+        duration = self._busy_duration
+        self.busy = None
+        utilization = self.allocator.token_utilization
+        stats = self.stats
+        stats.kv_weighted += utilization * duration
+        stats.busy_time += duration
+        stats.kv_peak = max(stats.kv_peak, utilization)
+        stats.iterations += 1
+        self.cap.spend(1)
+        batcher = self.batcher
+        if self.spans is not None:
+            self.spans.append((batcher.obs_track, now - duration, now))
+        if plan is self._stretch:
+            batcher.advance_decodes(plan.decode, 1)
+            self._stretch_done += 1
+            if not self._stretch_left:
+                self._emit_stretch(now, utilization)
+                self._stretch = None
+            return []
+        obs = self.obs
+        if obs is not None and self.iteration_event_first:
+            self._emit_iteration(now, plan, duration, utilization)
+        prof = obs.profiler if obs is not None else None
+        clock_start = prof.clock() if prof is not None else 0.0
+        departed = batcher.commit(plan, now)
+        if prof is not None:
+            prof.add("commit", prof.clock() - clock_start)
+        if obs is not None and not self.iteration_event_first:
+            self._emit_iteration(now, plan, duration, utilization)
+        return departed
+
+    def abort(self, now: float) -> None:
+        """Drop the in-flight iteration: the pool's machine failed at ``now``.
+
+        A stretch's completed steps still roll up into a STRETCH event, so
+        the trace shows the work that did happen.  In-flight prefill chunks
+        are treated like work later discarded by a preemption — they were
+        counted as prefilled when planned, so their requests' ``prefilled``
+        advances to match before the requeue accounting.
+        """
+        if self._stretch is not None and self._stretch_done:
+            self._emit_stretch(now, self.allocator.token_utilization)
+        if self.busy is not None:
+            for state, chunk in self.busy.prefill:
+                state.prefilled += chunk
+        self.busy = None
+        self._stretch = None
+
+    def _emit_iteration(
+        self, now: float, plan: IterationPlan, duration: float, utilization: float
+    ) -> None:
+        batcher = self.batcher
+        self.obs.emit(
+            now, obs_events.ITERATION, batcher.obs_track, None,
+            (
+                duration,
+                plan.prefill_tokens,
+                len(plan.decode),
+                len(batcher.waiting),
+                len(batcher.running),
+                utilization,
+            ),
+        )
+
+    def _emit_stretch(self, now: float, utilization: float) -> None:
+        """Roll the stretch's uniform steps up into one STRETCH event."""
+        if self.obs is not None:
+            self.obs.emit(
+                now, obs_events.STRETCH, self.batcher.obs_track, None,
+                (self._stretch_done, len(self._stretch.decode), self._stretch_start, utilization),
+            )
 
     # ------------------------------------------------------------------
-    # Event loop
+    # The serving loop
     # ------------------------------------------------------------------
     def run(
         self,
         states: Union[Sequence[RequestState], Iterator[RequestState]],
+        on_depart: Callable[[RequestState], None],
         timeline: Optional[Timeline] = None,
         device: int = 0,
-        on_depart: Optional[Callable[[RequestRecord], None]] = None,
-    ) -> _PoolRun:
+    ) -> float:
+        """Drain ``states`` through the stepping core.
+
+        Ingests every arrival due by ``now`` (within 1e-12), starts the next
+        iteration with the next arrival as its horizon — an arrival the
+        in-flight iteration reaches ends its decode stretch — and completes
+        it.  An idle pool jumps to the next arrival, or to a token-bucket
+        refill.  Every departure goes to ``on_depart`` (the pool retains no
+        per-request state past it); spans go to ``timeline`` on ``device``,
+        numbered per pool.  Returns the time the pool drained.
+        """
         if isinstance(states, Sequence):
             stream: Iterator[RequestState] = iter(
                 sorted(states, key=lambda s: (s.pool_arrival, s.request.request_id))
@@ -614,25 +914,15 @@ class _Pool:
             # non-decreasing ``pool_arrival`` order (the engines validate).
             stream = iter(states)
         upcoming = next(stream, None)
-        now = 0.0
-        iterations = 0
-        departed: List[RequestState] = []
-        kv_weighted = 0.0
-        kv_time = 0.0
-        kv_peak = 0.0
         batcher = self.batcher
-        allocator = self.allocator
-        capacity_tokens = allocator.total_blocks * allocator.block_tokens
-        max_iterations = self.config.max_iterations
+        batcher.obs_track = device
         obs = self.obs
-        prof = obs.profiler if obs is not None else None
         if obs is not None:
             obs.register_track(device, self.track_name)
-            batcher.obs_track = device
-        # Token buckets refill against the batcher's clock, so it must track
-        # simulated time whenever admission control is live (the recorder
-        # needs it for event timestamps anyway).
-        track_now = obs is not None or bool(batcher._buckets)
+        self.stats = PoolStats()
+        self.cap = _IterationCap(self.config.max_iterations, "serving loop")
+        self.spans = [] if timeline is not None else None
+        now = 0.0
         while True:
             while upcoming is not None and upcoming.pool_arrival <= now + 1e-12:
                 batcher.enqueue(upcoming)
@@ -642,161 +932,51 @@ class _Pool:
                         upcoming.request.request_id,
                     )
                 upcoming = next(stream, None)
-            max_steps = self.decode_stretch_length()
-            if max_steps > 0:
-                # Coalesced decode stretch: replay the naive stepper's exact
-                # per-iteration arithmetic (durations, KV integral, spans)
-                # without replanning, repricing or reallocating per step.
-                running = batcher.running
-                n = len(running)
-                horizon = upcoming.pool_arrival if upcoming is not None else None
-                contexts = [state.context_tokens for state in running]
-                # Physical occupancy, shared prefix blocks counted once; each
-                # decode step then adds exactly one private token per request,
-                # replaying the naive stepper's utilization reads bit-exactly.
-                stored = allocator.stored_tokens
-                steps = 0
-                stretch_start = now
-                clock_start = prof.clock() if prof is not None else 0.0
-                while steps < max_steps:
-                    duration = self.decode_iteration_time(contexts)
-                    now += duration
-                    iterations += 1
-                    stored += n
-                    utilization = stored / capacity_tokens
-                    kv_weighted += utilization * duration
-                    kv_time += duration
-                    kv_peak = max(kv_peak, utilization)
-                    if timeline is not None:
-                        timeline.add(
-                            TimelineSpan(
-                                device=device,
-                                work=Pass(
-                                    kind=PassKind.FORWARD,
-                                    microbatch=iterations - 1,
-                                    stage=0,
-                                    device=device,
-                                ),
-                                start=now - duration,
-                                end=now,
-                            )
-                        )
-                    if iterations > max_iterations:
-                        raise RuntimeError(
-                            f"serving loop exceeded {max_iterations} iterations"
-                        )
-                    contexts = [context + 1 for context in contexts]
-                    steps += 1
-                    if horizon is not None and horizon <= now + 1e-12:
-                        break
-                self.commit_decode_stretch(steps)
-                if prof is not None:
-                    prof.add("fast-forward", prof.clock() - clock_start)
-                if obs is not None:
-                    obs.emit(
-                        now, obs_events.STRETCH, device, None,
-                        (steps, n, stretch_start, stored / capacity_tokens),
-                    )
-                continue
+            horizon = upcoming.pool_arrival if upcoming is not None else math.inf
             if not batcher.has_work:
-                if upcoming is not None:
-                    now = upcoming.pool_arrival
-                    continue
-                break
-            if track_now:
-                batcher.now = now
-            clock_start = prof.clock() if prof is not None else 0.0
-            plan = batcher.plan(self.prefill_budget())
-            if prof is not None:
-                prof.add("admission", prof.clock() - clock_start)
-            if plan.empty:
-                if batcher.running:
-                    clock_start = prof.clock() if prof is not None else 0.0
-                    victim = batcher._preempt_victim(plan)
-                    if prof is not None:
-                        prof.add("eviction", prof.clock() - clock_start)
-                    if victim is not None:
-                        continue  # freed blocks; replan
+                if upcoming is None:
+                    break
+                now = horizon
+                continue
+            end = self.start(now, horizon, slack=1e-12)
+            if end is None:
                 # An idle pool with queued work is either waiting out a
                 # token-bucket refill (jump to the earliest grant time) or a
                 # future arrival — whichever unblocks first.
-                jump = upcoming.pool_arrival if upcoming is not None else None
-                ready = batcher.next_admission_time() if track_now else None
+                ready = batcher.next_admission_time() if self._track_now else None
                 if ready is not None and ready > now + 1e-12:
-                    jump = ready if jump is None else min(jump, ready)
-                if jump is not None:
-                    now = jump
-                    continue
-                raise RuntimeError(
-                    "serving pool stalled with queued work and no runnable batch"
-                )
-            clock_start = prof.clock() if prof is not None else 0.0
-            duration = self.iteration_time(plan)
-            if prof is not None:
-                prof.add("pricing", prof.clock() - clock_start)
-            now += duration
-            iterations += 1
-            utilization = allocator.token_utilization
-            kv_weighted += utilization * duration
-            kv_time += duration
-            kv_peak = max(kv_peak, utilization)
-            clock_start = prof.clock() if prof is not None else 0.0
-            finished = batcher.commit(plan, now)
-            if on_depart is None:
-                departed.extend(finished)
-            else:
-                # Metrics consumer: fold the finished request in; the pool
-                # retains no per-request state past departure.
-                for state in finished:
-                    on_depart(state.record)
-            if prof is not None:
-                prof.add("commit", prof.clock() - clock_start)
-            if obs is not None:
-                obs.emit(
-                    now, obs_events.ITERATION, device, None,
-                    (
-                        duration,
-                        plan.prefill_tokens,
-                        len(plan.decode),
-                        len(batcher.waiting),
-                        len(batcher.running),
-                        utilization,
-                    ),
-                )
-            if timeline is not None:
-                timeline.add(
-                    TimelineSpan(
-                        device=device,
-                        work=Pass(
-                            kind=PassKind.FORWARD,
-                            microbatch=iterations - 1,
-                            stage=0,
-                            device=device,
-                        ),
-                        start=now - duration,
-                        end=now,
+                    horizon = min(horizon, ready)
+                if horizon == math.inf:
+                    raise RuntimeError(
+                        "serving pool stalled with queued work and no runnable batch"
                     )
-                )
-            if iterations > self.config.max_iterations:
-                raise RuntimeError(
-                    f"serving loop exceeded {self.config.max_iterations} iterations"
-                )
-        return _PoolRun(
-            end_time=now,
-            departed=departed,
-            iterations=iterations,
-            kv_mean=kv_weighted / kv_time if kv_time > 0 else 0.0,
-            kv_peak=kv_peak,
-            busy_time=kv_time,
+                now = horizon
+                continue
+            if end + 1e-12 >= horizon:
+                self.truncate_stretch()  # the arrival joins the next plan
+            now = end
+            for state in self.complete(now):
+                on_depart(state)
+        if timeline is not None:
+            add_iteration_spans(timeline, self.spans)
+        return now
+
+
+def add_iteration_spans(timeline: Timeline, spans: Iterable[Tuple[int, float, float]]) -> None:
+    """Add ``(device, start, end)`` iteration spans, numbered in order."""
+    for index, (device, start, end) in enumerate(spans):
+        timeline.add(
+            TimelineSpan(
+                device=device,
+                work=Pass(kind=PassKind.FORWARD, microbatch=index, stage=0, device=device),
+                start=start,
+                end=end,
+            )
         )
 
 
 def _arrival_key(request: Request) -> Tuple[float, int]:
     return (request.arrival_time, request.request_id)
-
-
-def _make_states(trace: Sequence[Request]) -> List[RequestState]:
-    return [RequestState(record=RequestRecord(request)) for request in trace]
 
 
 def _metrics_fold(
@@ -870,45 +1050,24 @@ class ServingEngine:
                 yield RequestState(record=record)
 
         timeline = Timeline(num_devices=1)
-        outcome = self.pool.run(
+        end_time = self.pool.run(
             arrivals(),
+            lambda state: fold.observe(state.record),
             timeline=timeline if retain else None,
-            device=0,
-            on_depart=fold.observe,
         )
-        duration = max(outcome.end_time - first_arrival[0], 1e-12) if first_arrival else 0.0
-        batcher = self.pool.batcher
-        prefix = self.pool.allocator.prefix
-        prefix_evictions = prefix.evicted_blocks if prefix is not None else 0
-        required = batcher.prefix_hit_tokens + batcher.tokens_prefilled
-        metrics = fold.finalize(
-            duration,
-            kv_utilization_mean=outcome.kv_mean,
-            kv_utilization_peak=outcome.kv_peak,
-            preemptions=batcher.preemptions,
-            prefix_hit_rate=batcher.prefix_hit_tokens / required if required else 0.0,
-            prefix_hit_tokens=batcher.prefix_hit_tokens,
-            prefix_flops_saved=batcher.prefix_flops_saved,
-            prefix_evictions=prefix_evictions,
-        )
+        duration = max(end_time - first_arrival[0], 1e-12) if first_arrival else 0.0
+        stats = self.pool.stats
+        counters = PoolCounters.of([self.pool])
         return ServingResult(
             mode="colocated",
-            metrics=metrics,
+            metrics=counters.finalize(fold, duration, stats.kv_mean, stats.kv_peak),
             records=records,
             timeline=timeline,
-            iterations=outcome.iterations,
+            iterations=stats.iterations,
             kv_capacity_tokens=self.pool.kv_capacity_tokens,
-            tokens_admitted=batcher.tokens_admitted,
-            tokens_prefilled=batcher.tokens_prefilled,
-            tokens_preempted_requeued=batcher.tokens_preempted_requeued,
-            preemptions=batcher.preemptions,
-            prefix_hit_tokens=batcher.prefix_hit_tokens,
-            prefix_hit_requests=batcher.prefix_hit_requests,
-            prefix_flops_saved=batcher.prefix_flops_saved,
-            prefill_flops_executed=batcher.prefill_flops_executed,
-            prefix_evictions=prefix_evictions,
             retain_records=retain,
             tenant_metrics=fold.tenant_metrics(duration),
+            **vars(counters),
         )
 
 
@@ -977,12 +1136,13 @@ class DisaggregatedEngine:
     def run(self, trace: Sequence[Request], slo: Optional[SLO] = None) -> ServingResult:
         slo = slo or SLO()
         fold = _metrics_fold(slo, self.config.tenancy, retain_records=True)
-        states = _make_states(trace)
+        states = [RequestState(record=RequestRecord(request)) for request in trace]
         timeline = Timeline(num_devices=2)
-        prefill_run = self.prefill_pool.run(states, timeline=timeline, device=0)
+        departed: List[RequestState] = []
+        prefill_end = self.prefill_pool.run(states, departed.append, timeline=timeline)
 
         handoffs: List[RequestState] = []
-        for state in prefill_run.departed:
+        for state in departed:
             if state.phase is not Phase.HANDOFF:
                 # Finished at prefill (single-output-token request).
                 fold.observe(state.record)
@@ -996,12 +1156,12 @@ class DisaggregatedEngine:
                     + self._transfer_time(state.request.prompt_tokens),
                 )
             )
-        decode_run = self.decode_pool.run(
-            handoffs, timeline=timeline, device=1, on_depart=fold.observe
+        decode_end = self.decode_pool.run(
+            handoffs, lambda state: fold.observe(state.record), timeline=timeline, device=1
         )
 
         records = [state.record for state in states]
-        end_time = max(prefill_run.end_time, decode_run.end_time)
+        end_time = max(prefill_end, decode_end)
         duration = (
             max(end_time - min(r.request.arrival_time for r in records), 1e-12)
             if records
@@ -1010,46 +1170,20 @@ class DisaggregatedEngine:
         # Combine pool KV statistics weighted by each pool's busy time (the
         # decode pool idles until the first hand-off arrives, so wall-clock
         # end times would over-weight it).
-        spans = [
-            (prefill_run.kv_mean, prefill_run.busy_time),
-            (decode_run.kv_mean, decode_run.busy_time),
-        ]
-        weight = sum(w for _, w in spans)
-        kv_mean = sum(v * w for v, w in spans) / weight if weight > 0 else 0.0
-        preemptions = self.prefill_pool.batcher.preemptions + self.decode_pool.batcher.preemptions
-        pf, dc = self.prefill_pool.batcher, self.decode_pool.batcher
-        prefix = self.prefill_pool.allocator.prefix
-        prefix_evictions = prefix.evicted_blocks if prefix is not None else 0
-        hit_tokens = pf.prefix_hit_tokens + dc.prefix_hit_tokens
-        prefilled = pf.tokens_prefilled + dc.tokens_prefilled
-        required = hit_tokens + prefilled
-        metrics = fold.finalize(
-            duration,
-            kv_utilization_mean=kv_mean,
-            kv_utilization_peak=max(prefill_run.kv_peak, decode_run.kv_peak),
-            preemptions=preemptions,
-            prefix_hit_rate=hit_tokens / required if required else 0.0,
-            prefix_hit_tokens=hit_tokens,
-            prefix_flops_saved=pf.prefix_flops_saved + dc.prefix_flops_saved,
-            prefix_evictions=prefix_evictions,
-        )
+        both = (self.prefill_pool.stats, self.decode_pool.stats)
+        weight = sum(stats.busy_time for stats in both)
+        kv_mean = sum(s.kv_mean * s.busy_time for s in both) / weight if weight > 0 else 0.0
+        counters = PoolCounters.of([self.prefill_pool, self.decode_pool])
         return ServingResult(
             mode="disaggregated",
-            metrics=metrics,
+            metrics=counters.finalize(
+                fold, duration, kv_mean, max(stats.kv_peak for stats in both)
+            ),
             records=records,
             timeline=timeline,
-            iterations=prefill_run.iterations + decode_run.iterations,
+            iterations=sum(stats.iterations for stats in both),
             kv_capacity_tokens=self.prefill_pool.kv_capacity_tokens
             + self.decode_pool.kv_capacity_tokens,
-            tokens_admitted=pf.tokens_admitted + dc.tokens_admitted,
-            tokens_prefilled=prefilled,
-            tokens_preempted_requeued=pf.tokens_preempted_requeued
-            + dc.tokens_preempted_requeued,
-            preemptions=preemptions,
-            prefix_hit_tokens=hit_tokens,
-            prefix_hit_requests=pf.prefix_hit_requests + dc.prefix_hit_requests,
-            prefix_flops_saved=pf.prefix_flops_saved + dc.prefix_flops_saved,
-            prefill_flops_executed=pf.prefill_flops_executed + dc.prefill_flops_executed,
-            prefix_evictions=prefix_evictions,
             tenant_metrics=fold.tenant_metrics(duration),
+            **vars(counters),
         )

@@ -323,61 +323,34 @@ class PagedKVAllocator:
         self._stored += new_total_tokens - current
         return True
 
-    def advance_decode_step(self, request_ids: List[Hashable]) -> None:
-        """Grow every reservation by exactly one token (one bulk decode step).
+    def bulk_reserve_decode(self, request_ids: Sequence[Hashable], steps: int) -> None:
+        """Grow each decode reservation by ``steps`` tokens (decode stretches).
 
-        Equivalent to calling :meth:`reserve` with ``tokens_of(rid) + 1`` for
-        each id, but without the per-call admission arithmetic: a block is
-        acquired only when the one-token growth crosses a block boundary.
-        The caller (the engines' decode fast-forward path) must have verified
-        the pool can absorb the growth without reclaiming shared blocks; an
-        oversubscribed step therefore raises ``MemoryError`` from the chunk
-        pool instead of returning ``False``.
-        """
-        tokens = self._tokens
-        tables = self._tables
-        next_keys = self._next_key
-        block_tokens = self.block_tokens
-        for request_id in request_ids:
-            grown = tokens[request_id] + 1
-            tokens[request_id] = grown
-            if (grown - 1) % block_tokens == 0:
-                next_key = next_keys.get(request_id, 0)
-                key = (request_id, next_key)
-                next_keys[request_id] = next_key + 1
-                chunk = self._cache.acquire(key)
-                tables[request_id].append((key, chunk.chunk_id))
-        self._stored += len(request_ids)
-
-    def bulk_reserve_decode(
-        self,
-        request_ids: Sequence[Hashable],
-        new_totals: Sequence[int],
-        extra_blocks: Sequence[int],
-    ) -> None:
-        """Grow many decode reservations at once (end of a coalesced stretch).
-
-        Equivalent to calling :meth:`reserve` once per request in order —
-        same chunk-acquisition order, same sequential private keys, same
-        integer ``stored_tokens`` bookkeeping — but with the per-call
-        admission arithmetic (block targets, free-pool checks, reclaim
-        probes) hoisted into the caller's vectorized stretch plan
-        (:meth:`~repro.serving.columnar.DecodeColumns.commit_plan`).  The
-        caller must have verified the pool absorbs the total growth without
-        reclaiming shared blocks; an oversubscribed bulk update therefore
-        raises ``MemoryError`` from the chunk pool instead of returning
-        ``False``.
+        Equivalent to calling :meth:`reserve` with ``tokens_of(rid) + steps``
+        once per request in order — same chunk-acquisition order, same
+        sequential private keys, same integer ``stored_tokens`` bookkeeping —
+        in one pass that computes each new total and its extra blocks,
+        without the per-call admission checks.  The caller (a pool's decode
+        stretch) must have verified the pool absorbs the growth without
+        reclaiming shared blocks; an oversubscribed growth therefore raises
+        ``MemoryError`` from the chunk pool instead of returning ``False``.
         """
         tokens = self._tokens
         tables = self._tables
         next_keys = self._next_key
         cache = self._cache
-        grown = 0
-        for request_id, new_total, extra in zip(request_ids, new_totals, extra_blocks):
-            grown += new_total - tokens[request_id]
+        prefix = self.prefix
+        block_tokens = self.block_tokens
+        for request_id in request_ids:
+            current = tokens[request_id]
+            new_total = current + steps
             tokens[request_id] = new_total
+            if (current - 1) // block_tokens == (new_total - 1) // block_tokens:
+                continue  # the blocks backing ``current`` tokens cover the growth
+            table = tables[request_id]
+            held = len(table) + (prefix.refs_of(request_id) if prefix is not None else 0)
+            extra = (new_total + block_tokens - 1) // block_tokens - held
             if extra > 0:
-                table = tables[request_id]
                 next_key = next_keys.get(request_id, 0)
                 for _ in range(extra):
                     key = (request_id, next_key)
@@ -385,7 +358,7 @@ class PagedKVAllocator:
                     chunk = cache.acquire(key)
                     table.append((key, chunk.chunk_id))
                 next_keys[request_id] = next_key
-        self._stored += grown
+        self._stored += steps * len(request_ids)
 
     def release(self, request_id: Hashable) -> int:
         """Free a finished request's blocks; returns blocks released.

@@ -88,14 +88,11 @@ class Oracle:
         self.checked = 0  # batcher states whose exact totals were compared
         self.priced = 0  # iterations whose plan carried the totals
         self.guarded = 0  # ... of which the bound sent to the ordered fold
-        self.stretch_steps = 0  # fleet stretch steps priced from the totals
+        self.stretch_steps = 0  # in-flight decode-stretch steps priced
         self.mid_stretch_faults = 0  # crashes / slow windows during a stretch
         for name in ("plan", "commit", "advance_decodes", "_preempt_victim"):
             mp.setattr(ContinuousBatcher, name, self._checked(getattr(ContinuousBatcher, name)))
         mp.setattr(_Pool, "iteration_time", self._iteration_time(_Pool.iteration_time))
-        mp.setattr(
-            _Pool, "running_decode_time", self._running_decode_time(_Pool.running_decode_time)
-        )
         mp.setattr(FleetEngine, "_on_fail", self._on_fail(FleetEngine._on_fail))
 
     def check(self, batcher):
@@ -131,18 +128,11 @@ class Oracle:
                     oracle.guarded += 1
             fallback = IterationPlan(prefill=list(plan.prefill), decode=list(plan.decode))
             assert duration == method(pool, fallback)
-            return duration
-
-        return wrapped
-
-    def _running_decode_time(self, method):
-        oracle = self
-
-        def wrapped(pool):
-            duration = method(pool)
-            contexts = [state.context_tokens for state in pool.batcher.running]
-            assert duration == pool.decode_iteration_time(contexts)
-            oracle.stretch_steps += 1
+            if pool.in_stretch:
+                # An in-flight stretch step: also the reference decode pricer.
+                contexts = [state.context_tokens for state in plan.decode]
+                assert duration == pool.decode_iteration_time(contexts)
+                oracle.stretch_steps += 1
             return duration
 
         return wrapped
@@ -151,9 +141,7 @@ class Oracle:
         oracle = self
 
         def wrapped(engine, event, now):
-            if any(
-                r.busy_plan is not None and r.busy_plan is r.ff_plan for r in engine._replicas
-            ):
+            if any(r.pool is not None and r.pool.in_stretch for r in engine._replicas):
                 oracle.mid_stretch_faults += 1
             return method(engine, event, now)
 

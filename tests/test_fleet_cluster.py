@@ -42,6 +42,19 @@ class TestFleetConfig:
         with pytest.raises(UnknownNameError):
             FleetConfig(gpu_types=("tpu-v5",))
 
+    # Each of these used to fail only once ``run`` was under way.
+    def test_zero_iteration_cap_rejected(self):
+        with pytest.raises(ValueError, match="max_total_iterations"):
+            FleetConfig(max_total_iterations=0)
+
+    def test_zero_block_tokens_rejected(self):
+        with pytest.raises(ValueError, match="block_tokens"):
+            FleetConfig(block_tokens=0)
+
+    def test_nan_tpot_cap_rejected(self):
+        with pytest.raises(ValueError, match="tpot_cap"):
+            FleetConfig(tpot_cap=float("nan"))
+
     def test_unpriced_gpu_type_fails_fast(self, monkeypatch):
         # A device registered in GPU_REGISTRY but missing from the price
         # table must be rejected at config time, not after a full run.

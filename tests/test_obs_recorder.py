@@ -134,10 +134,19 @@ def test_events_are_time_ordered_per_track():
         last[event.track] = event.time
 
 
-def test_profiler_only_when_requested():
-    bare, _ = _observed_chat(profile=False)
+def _observed_fleet(profile=False):
+    recorder = EventRecorder(profile=profile)
+    run_fleet_scenario(FLEET_SCENARIO_REGISTRY["unreliable"], seed=0, observe=recorder)
+    return recorder
+
+
+@pytest.mark.parametrize(
+    "observed", [lambda p: _observed_chat(p)[0], _observed_fleet], ids=["serving", "fleet"]
+)
+def test_profiler_only_when_requested(observed):
+    bare = observed(False)
     assert bare.profiler is None
-    profiled, _ = _observed_chat(profile=True)
+    profiled = observed(True)
     rows = profiled.profiler.rows()
     assert rows, "profiled run metered no phases"
     phases = {phase for phase, _, _, _ in rows}

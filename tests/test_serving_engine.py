@@ -37,6 +37,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             ServingConfig(tpot_cap=-1.0)
 
+    # Each of these used to fail only mid-run, or to finish silently wrong.
+    def test_zero_iteration_cap_rejected(self):
+        with pytest.raises(ValueError, match="max_iterations"):
+            ServingConfig(max_iterations=0)
+
+    def test_negative_iteration_overhead_rejected(self):
+        with pytest.raises(ValueError, match="iteration_overhead"):
+            ServingConfig(iteration_overhead=-1)
+
+    def test_nan_iteration_overhead_rejected(self):
+        with pytest.raises(ValueError, match="iteration_overhead"):
+            ServingConfig(iteration_overhead=float("nan"))
+
+    def test_nan_tpot_cap_rejected(self):
+        with pytest.raises(ValueError, match="tpot_cap"):
+            ServingConfig(tpot_cap=float("nan"))
+
     def test_model_must_fit(self):
         with pytest.raises(ValueError, match="does not fit"):
             ServingEngine(get_model_config("llama-70b"), ServingConfig(num_gpus=1))

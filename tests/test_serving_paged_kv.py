@@ -62,6 +62,29 @@ class TestReserve:
         assert alloc.evictions == 1
 
 
+class TestBulkReserveDecode:
+    """The decode-stretch growth equals one ``reserve`` per request, in order."""
+
+    @pytest.mark.parametrize("block_tokens", [1, 4, 16])
+    def test_matches_serial_reserves(self, block_tokens):
+        # Every residue of the starting reservation against every growth of
+        # up to two blocks, many requests at once (chunk-acquisition order).
+        counts = range(1, 3 * block_tokens + 2)
+        for steps in range(1, 2 * block_tokens + 2):
+            bulk = PagedKVAllocator(total_blocks=1024, block_tokens=block_tokens)
+            serial = PagedKVAllocator(total_blocks=1024, block_tokens=block_tokens)
+            for rid, count in enumerate(counts):
+                assert bulk.reserve(rid, count) and serial.reserve(rid, count)
+            bulk.bulk_reserve_decode(list(range(len(counts))), steps)
+            for rid in range(len(counts)):
+                assert serial.reserve(rid, serial.tokens_of(rid) + steps)
+            for rid in range(len(counts)):
+                assert bulk.tokens_of(rid) == serial.tokens_of(rid)
+                assert bulk.block_table(rid) == serial.block_table(rid)
+            assert bulk.stored_tokens == serial.stored_tokens
+            assert bulk.free_blocks == serial.free_blocks
+
+
 class TestStats:
     def test_utilization_and_fragmentation(self):
         alloc = PagedKVAllocator(total_blocks=8, block_tokens=16)
