@@ -14,8 +14,10 @@ def test_figure2_max_context(once):
     print()
     print(result.to_text())
 
-    slim = result.max_context("slimpipe")
-    baselines = {r.scheme: r.max_context_k for r in result.rows if r.scheme != "slimpipe"}
+    slim = result.row(scheme="slimpipe")["max_context_k"]
+    baselines = {
+        r["scheme"]: r["max_context_k"] for r in result.rows if r["scheme"] != "slimpipe"
+    }
     assert set(baselines) == set(PAPER_SCHEMES) - {"slimpipe"}
     assert all(value > 0 for value in baselines.values())
     assert slim >= 3 * max(baselines.values())

@@ -18,14 +18,13 @@ def test_figure4_schedule_structure(benchmark):
     print()
     print(result.to_text())
 
-    p, n = result.num_devices, result.num_slices
-    assert result.accumulated_fraction_of_microbatch == pytest.approx(
-        (1 + 2 * (p - 1) / n) / p
-    )
+    summary = result.summary
+    p, m, n = summary["num_devices"], summary["num_microbatches"], summary["num_slices"]
+    assert summary["accumulated_fraction"] == pytest.approx((1 + 2 * (p - 1) / n) / p)
     # Compared to the classic 1F1B schedule on the same problem, the warm-up
     # bubble shrinks by roughly n (per-unit durations scaled accordingly).
-    classic = build_1f1b_schedule(p, result.num_microbatches)
+    classic = build_1f1b_schedule(p, m)
     classic_tl = SimulationEngine(classic, UniformCostProvider(1.0, 2.0)).run()
-    slim = build_slimpipe_schedule(p, result.num_microbatches, n)
+    slim = build_slimpipe_schedule(p, m, n)
     slim_tl = SimulationEngine(slim, UniformCostProvider(1.0 / n, 2.0 / n)).run()
     assert slim_tl.bubble_fraction() < classic_tl.bubble_fraction() / 2

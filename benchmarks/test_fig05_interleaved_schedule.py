@@ -16,14 +16,12 @@ def test_figure5_interleaved_schedule(benchmark):
     print()
     print(result.to_text())
 
+    summary = result.summary
     plain = figure4_schedule_structure(
-        pipeline_parallel_size=result.num_devices,
-        num_microbatches=result.num_microbatches,
-        num_slices=result.num_slices,
+        pipeline_parallel_size=summary["num_devices"],
+        num_microbatches=summary["num_microbatches"],
+        num_slices=summary["num_slices"],
     )
-    assert result.stages_per_device == 2
-    assert result.num_microbatches == 2  # fewer microbatches than the PP size
-    assert (
-        result.accumulated_fraction_of_microbatch
-        < plain.accumulated_fraction_of_microbatch
-    )
+    assert summary["stages_per_device"] == 2
+    assert summary["num_microbatches"] == 2  # fewer microbatches than the PP size
+    assert summary["accumulated_fraction"] < plain.summary["accumulated_fraction"]

@@ -13,22 +13,23 @@ def test_figure6_slices_sweep(benchmark):
     print()
     print(result.to_text())
 
+    activation, bubble = result.panels
     # (a) monotone decrease towards 1/p for every pipeline size.
     by_p = {}
-    for row in result.activation_rows:
-        by_p.setdefault(row.pipeline_parallel_size, []).append(row)
+    for row in activation.rows:
+        by_p.setdefault(row["pipeline_parallel_size"], []).append(row)
     for p, series in by_p.items():
-        series.sort(key=lambda r: r.num_slices)
-        fractions = [r.activation_fraction for r in series]
+        series.sort(key=lambda r: r["num_slices"])
+        fractions = [r["activation_fraction"] for r in series]
         assert fractions == sorted(fractions, reverse=True)
         assert fractions[-1] < 1.5 / p
 
     # (b) monotone decrease towards zero for every microbatch count.
     by_m = {}
-    for row in result.bubble_rows:
-        by_m.setdefault(row.num_microbatches, []).append(row)
+    for row in bubble.rows:
+        by_m.setdefault(row["num_microbatches"], []).append(row)
     for m, series in by_m.items():
-        series.sort(key=lambda r: r.num_slices)
-        fractions = [r.bubble_fraction for r in series]
+        series.sort(key=lambda r: r["num_slices"])
+        fractions = [r["bubble_fraction"] for r in series]
         assert fractions == sorted(fractions, reverse=True)
         assert fractions[-1] < 0.1

@@ -19,9 +19,9 @@ def test_figure8_context_exchange_plan(benchmark):
     print()
     print(result.to_text())
 
-    assert result.max_imbalance_before > 1.0
-    assert result.max_imbalance_after <= 1.0 + 1e-9
-    assert sum(result.balanced) == sum(result.original)
+    assert result.summary["max_imbalance_before"] > 1.0
+    assert result.summary["max_imbalance_after"] <= 1.0 + 1e-9
+    assert sum(r["kv_after"] for r in result.rows) == sum(r["kv_before"] for r in result.rows)
 
 
 def test_eq2_exchange_volume_bound(benchmark):

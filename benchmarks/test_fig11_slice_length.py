@@ -17,16 +17,18 @@ def test_figure11_mfu_vs_slices(once):
     print()
     print(result.to_text())
 
+    def series(seq_k):
+        return {r["num_slices"]: r["mfu"] for r in result.rows if r["sequence_k"] == seq_k}
+
     for seq_k in (128, 256, 512):
-        series = dict(result.series(seq_k))
-        assert all(0.1 < mfu < 0.6 for mfu in series.values())
+        assert all(0.1 < mfu < 0.6 for mfu in series(seq_k).values())
 
     # The optimal slice count does not shrink as the context grows.
-    assert result.best_slices(512) >= result.best_slices(128)
+    assert result.summary["s512k.best_slices"] >= result.summary["s128k.best_slices"]
 
     # The short-context curve degrades more by the largest slice count.
-    short = dict(result.series(128))
-    long = dict(result.series(512))
+    short = series(128)
+    long = series(512)
     n_max = max(short)
     short_drop = max(short.values()) - short[n_max]
     long_drop = max(long.values()) - long[n_max]

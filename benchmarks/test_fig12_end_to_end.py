@@ -35,36 +35,32 @@ def test_figure12_end_to_end(once):
     result = once(figure12_end_to_end, **_FIG12_KWARGS)
     print()
     print(result.to_text())
+    def cell(system, sequence_k, model="llama-70b", num_gpus=128):
+        return result.row(model=model, num_gpus=num_gpus, sequence_k=sequence_k, system=system)
+
     print("speedup over Megatron-LM (Llama 70B, 128 GPUs):")
     for seq_k in (64, 128, 256, 512):
-        speedup = result.speedup_over_megatron("llama-70b", 128, seq_k)
+        speedup = cell("slimpipe", seq_k)["speedup_over_megatron"]
         print(f"  {seq_k}K: {speedup:.2f}x" if speedup else f"  {seq_k}K: baseline infeasible")
 
     # SlimPipe always runs and always wins (or ties) against feasible baselines.
-    for cell in result.cells:
-        if cell.system != "slimpipe":
+    for slim in result.rows:
+        if slim["system"] != "slimpipe":
             continue
-        assert cell.feasible, f"SlimPipe infeasible at {cell}"
+        assert slim["feasible"], f"SlimPipe infeasible at {slim}"
         for baseline in ("megatron-lm", "deepspeed"):
-            other = result.cell(cell.model, cell.num_gpus, cell.sequence_k, baseline)
-            if other.feasible:
-                assert cell.mfu >= other.mfu * 0.999
+            other = cell(baseline, slim["sequence_k"], slim["model"], slim["num_gpus"])
+            if other["feasible"]:
+                assert slim["mfu"] >= other["mfu"] * 0.999
 
     # The advantage over Megatron-LM widens with context length (Llama 70B).
-    s64 = result.speedup_over_megatron("llama-70b", 128, 64)
-    s256 = result.speedup_over_megatron("llama-70b", 128, 256)
+    s64 = cell("slimpipe", 64)["speedup_over_megatron"]
+    s256 = cell("slimpipe", 256)["speedup_over_megatron"]
     assert s64 is not None and s256 is not None and s256 > s64
 
     # Baseline failure modes at 512K on 128 GPUs, as annotated in the figure.
-    assert not result.cell("llama-70b", 128, 512, "megatron-lm").feasible
-    assert not result.cell("llama-70b", 128, 512, "deepspeed").feasible
-
-
-def _cells(result):
-    return [
-        (c.model, c.num_gpus, c.sequence_k, c.system, c.feasible, c.reason, c.mfu)
-        for c in result.cells
-    ]
+    assert not cell("megatron-lm", 512)["feasible"]
+    assert not cell("deepspeed", 512)["feasible"]
 
 
 def _available_cpus() -> int:
@@ -92,7 +88,7 @@ def test_figure12_sweep_parallel_speedup_and_warm_cache(tmp_path):
     )
 
     # Worker processes and the cache must not change a single cell.
-    assert _cells(serial) == _cells(cold) == _cells(warm)
+    assert serial.rows == cold.rows == warm.rows
 
     # A warm cache turns the sweep into a file read.
     assert t_warm < 0.25 * t_cold

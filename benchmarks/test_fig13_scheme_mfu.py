@@ -16,12 +16,15 @@ def test_figure13_scheme_mfu(once):
     print(result.to_text())
 
     for seq_k in (32, 64, 128, 256, 512):
-        slim = result.row("slimpipe", seq_k)
-        assert slim.feasible
+        slim = result.row(scheme="slimpipe", sequence_k=seq_k)
+        assert slim["feasible"]
         for scheme in ("zb-v", "v-half", "1f1b", "interleaved-1f1b"):
-            other = result.row(scheme, seq_k)
-            if other.feasible:
-                assert slim.mfu > other.mfu, (scheme, seq_k)
+            other = result.row(scheme=scheme, sequence_k=seq_k)
+            if other["feasible"]:
+                assert slim["mfu"] > other["mfu"], (scheme, seq_k)
 
     # Default 1F1B pays its warm-up bubbles: well below interleaved 1F1B.
-    assert result.row("1f1b", 64).mfu < result.row("interleaved-1f1b", 64).mfu
+    assert (
+        result.row(scheme="1f1b", sequence_k=64)["mfu"]
+        < result.row(scheme="interleaved-1f1b", sequence_k=64)["mfu"]
+    )

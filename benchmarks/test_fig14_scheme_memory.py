@@ -14,25 +14,28 @@ def test_figure14_scheme_memory(once):
     print()
     print(result.to_text())
 
+    def row(scheme, seq_k):
+        return result.row(scheme=scheme, sequence_k=seq_k)
+
     # SlimPipe has the smallest footprint wherever the others still run.
     for seq_k in (32, 64, 128, 256):
-        slim = result.row("slimpipe", seq_k)
+        slim = row("slimpipe", seq_k)
         for scheme in ("zb-v", "v-half", "1f1b", "interleaved-1f1b"):
-            other = result.row(scheme, seq_k)
-            if other.feasible:
-                assert slim.peak_memory_gib < other.peak_memory_gib
+            other = row(scheme, seq_k)
+            if other["feasible"]:
+                assert slim["peak_memory_gib"] < other["peak_memory_gib"]
 
     # OOM ordering: zero-bubble variants first, then default 1F1B at 512K.
-    assert not result.row("zb-v", 512).feasible
-    assert not result.row("v-half", 512).feasible
-    assert not result.row("1f1b", 512).feasible
-    assert result.row("slimpipe", 512).feasible
+    assert not row("zb-v", 512)["feasible"]
+    assert not row("v-half", 512)["feasible"]
+    assert not row("1f1b", 512)["feasible"]
+    assert row("slimpipe", 512)["feasible"]
 
     # Memory grows with context length for every feasible scheme.
     for scheme in ("1f1b", "interleaved-1f1b", "slimpipe"):
         series = [
-            result.row(scheme, seq_k).peak_memory_gib
+            row(scheme, seq_k)["peak_memory_gib"]
             for seq_k in (32, 64, 128, 256)
-            if result.row(scheme, seq_k).feasible
+            if row(scheme, seq_k)["feasible"]
         ]
         assert series == sorted(series)

@@ -3,7 +3,7 @@ the schedule builders and the discrete-event simulator (and Eq. 1 / Eq. 2)."""
 
 import pytest
 
-from repro.analysis.tables import render_table2, table2_scheme_comparison
+from repro.analysis.tables import table2_scheme_comparison
 from repro.core.context_exchange import (
     exchange_volume_bound,
     exchange_volume_per_microbatch,
@@ -16,18 +16,18 @@ from repro.sim.engine import SimulationEngine, UniformCostProvider
 
 
 def test_table2_scheme_comparison(benchmark):
-    rows = benchmark(table2_scheme_comparison, num_microbatches=8)
+    table = benchmark(table2_scheme_comparison, num_microbatches=8)
     print()
-    print(render_table2(rows))
+    print(table.to_text())
 
-    by_name = {r.scheme: r for r in rows}
+    by_name = {r["scheme"]: r for r in table.rows}
     slim = by_name["slimpipe"]
     # SlimPipe wins both columns of Table 2.
     for name, row in by_name.items():
         if name != "slimpipe":
-            assert slim.activation_memory_factor <= row.activation_memory_factor + 1e-12
-    assert slim.bubble_fraction < by_name["interleaved-1f1b"].bubble_fraction
-    assert by_name["gpipe"].activation_memory_factor == pytest.approx(8 / 8)
+            assert slim["activation_memory_factor"] <= row["activation_memory_factor"] + 1e-12
+    assert slim["bubble_fraction"] < by_name["interleaved-1f1b"]["bubble_fraction"]
+    assert by_name["gpipe"]["activation_memory_factor"] == pytest.approx(8 / 8)
 
 
 def test_eq1_formula_matches_schedule(benchmark):

@@ -3,7 +3,6 @@ match the paper's reported sizes (13.3B / 69.5B / 148.9B / 47.0B / 141.0B)."""
 
 import pytest
 
-from repro.analysis.report import render_table
 from repro.analysis.tables import table3_model_specifications
 
 PAPER_PARAMS = {
@@ -16,17 +15,8 @@ PAPER_PARAMS = {
 
 
 def test_table3_model_specifications(benchmark):
-    rows = benchmark(table3_model_specifications)
+    table = benchmark(table3_model_specifications)
     print()
-    print(
-        render_table(
-            ["model", "L", "a", "g", "h", "H", "params (B)"],
-            [
-                (r.model, r.num_layers, r.num_heads, r.num_groups or "-", r.hidden_size, r.ffn_size, f"{r.params_billions:.1f}")
-                for r in rows
-            ],
-            title="Table 3 — models used in evaluation",
-        )
-    )
-    for row in rows:
-        assert row.params_billions == pytest.approx(PAPER_PARAMS[row.model], rel=0.02)
+    print(table.to_text())
+    for row in table.rows:
+        assert row["params_billions"] == pytest.approx(PAPER_PARAMS[row["model"]], rel=0.02)

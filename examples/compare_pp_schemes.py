@@ -19,7 +19,7 @@ Run with::
 from repro.analysis.figures import (
     figure2_max_context,
     figure3_bubble_fractions,
-    scheme_context_sweep,
+    figure13_scheme_mfu,
 )
 from repro.analysis.report import render_table
 
@@ -40,7 +40,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 3. Efficiency and memory across context lengths (full checkpointing).
     # ------------------------------------------------------------------
-    sweep = scheme_context_sweep(sequence_ks=(32, 64, 128, 256, 512))
+    sweep = figure13_scheme_mfu(sequence_ks=(32, 64, 128, 256, 512))
     print(sweep.to_text())
 
     # ------------------------------------------------------------------
@@ -48,22 +48,16 @@ def main() -> None:
     # ------------------------------------------------------------------
     summary = []
     for scheme in ("zb-v", "v-half", "1f1b", "interleaved-1f1b", "slimpipe"):
-        reachable = [
-            row.sequence_k
-            for row in sweep.rows
-            if row.scheme == scheme and row.feasible
-        ]
-        best_mfu = max(
-            (row.mfu for row in sweep.rows if row.scheme == scheme and row.feasible),
-            default=0.0,
-        )
+        feasible = [r for r in sweep.rows if r["scheme"] == scheme and r["feasible"]]
+        reachable = [r["sequence_k"] for r in feasible]
+        best_mfu = max((r["mfu"] for r in feasible), default=0.0)
         summary.append(
             (
                 scheme,
-                f"{max_context.max_context(scheme)}K",
+                f"{max_context.row(scheme=scheme)['max_context_k']}K",
                 f"{max(reachable)}K" if reachable else "-",
                 f"{best_mfu * 100:.1f}%",
-                f"{bubbles.fraction(scheme) * 100:.1f}%",
+                f"{bubbles.row(scheme=scheme)['bubble_fraction'] * 100:.1f}%",
             )
         )
     print(

@@ -1,9 +1,20 @@
 """Analysis layer: closed forms, per-figure/table data generators and reports.
 
-Every figure and table of the paper's evaluation has a generator here that
-returns plain-Python result objects (no plotting dependencies); the matching
-``benchmarks/`` module times it and prints the same rows/series the paper
-reports, and ``EXPERIMENTS.md`` records the paper-vs-measured comparison.
+Every figure and table of the paper's evaluation — and the serving, fleet,
+prefix-cache and tenant-QoS comparisons — has a generator here that returns
+one type, :class:`~repro.analysis.report.Table`: a title, :class:`Column`
+specs (header, row key, format), plain dict rows, optional free text
+(Figures 4/5) or panels (Figure 6), the experiment's summary scalars and the
+key layout of its golden metrics.  ``Table.to_text()`` renders it through
+:func:`~repro.analysis.report.render_table`, ``Table.row(**fields)`` finds
+one row, and ``Table.golden_metrics()`` flattens it for the golden harness.
+
+:data:`EXPERIMENTS` (:mod:`repro.analysis.experiments`) maps every
+``experiments`` CLI name (``fig1``-``fig14``, ``tab2``-``tab4``,
+``serving``, ``sweep``, ``fleet``, ``prefix-cache``, ``tenant-qos``) to its
+generator and golden; the CLI, the golden harness
+(:mod:`repro.sweep.golden`) and the matching ``benchmarks/`` modules all
+read the same rows.
 """
 
 from ..schedules.formulas import (
@@ -13,6 +24,8 @@ from ..schedules.formulas import (
     slimpipe_accumulated_activation_factor,
 )
 from . import figures, observability, report, tables
+from .experiments import EXPERIMENTS, Experiment
+from .report import Column, Table
 
 
 def __getattr__(name):
@@ -31,6 +44,10 @@ def __getattr__(name):
 
 
 __all__ = [
+    "EXPERIMENTS",
+    "Experiment",
+    "Column",
+    "Table",
     "figures",
     "tables",
     "report",

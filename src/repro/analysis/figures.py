@@ -2,19 +2,17 @@
 
 Each ``figureN_*`` function reproduces the data series behind the paper's
 figure N using the reproduction's own substrates (closed forms, the
-discrete-event simulator, the analytic system models).  The returned result
-objects hold plain lists of row dataclasses plus a ``to_text()`` rendering, so
-the benchmark harness and the examples can print exactly the rows the paper
-plots without any plotting dependency.
-
-See DESIGN.md section 3 for the experiment-by-experiment index and
-EXPERIMENTS.md for paper-vs-measured values.
+discrete-event simulator, the analytic system models) and returns a
+:class:`~repro.analysis.report.Table`: plain dict rows, the columns that
+render them, and the key layout of the figure's golden metrics.  The
+benchmark harness and the examples print exactly the rows the paper plots
+without any plotting dependency; :data:`repro.analysis.EXPERIMENTS` indexes
+the generators by their ``experiments`` CLI name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..constants import GIB, KILO_TOKENS, tokens_from_k
 from ..core.context_exchange import balance_workloads, concurrent_kv_slices
@@ -25,17 +23,20 @@ from ..model.config import LLAMA_13B, LLAMA_70B, MIXTRAL_8X7B, ModelConfig
 from ..model.memory import RecomputeMode
 from ..parallel.config import ParallelConfig, WorkloadConfig
 from ..schedules.formulas import (
+    PAPER_SCHEMES,
     activation_memory_factor,
     bubble_fraction_estimate,
 )
 from ..sim.engine import SimulationEngine, UniformCostProvider
 from ..sim.memory_tracker import MemoryTracker
 from ..sim.providers import ModelActivationAccountant
-from ..sweep.cache import SweepCache
-from ..sweep.engine import run_sweep
-from ..sweep.spec import SweepSpec
-from ..systems import AnalyticEstimator, SchemeSystem, SystemEstimate
-from .report import render_table
+from ..systems import AnalyticEstimator, SchemeSystem
+from .report import Column, Table
+
+# The sweep-driven figures (12-14) import ``repro.sweep`` when called: the
+# golden harness there reads the experiment registry at import time.
+if TYPE_CHECKING:
+    from ..sweep.cache import SweepCache
 
 __all__ = [
     "figure1_memory_footprint",
@@ -45,6 +46,7 @@ __all__ = [
     "figure5_interleaved_schedule",
     "figure6a_activation_vs_slices",
     "figure6b_bubble_vs_slices",
+    "figure6_slices_sweep",
     "figure7_imbalance_bubbles",
     "figure8_context_exchange_plan",
     "figure9_vocab_parallel_bubble",
@@ -56,43 +58,10 @@ __all__ = [
     "PAPER_SCHEMES",
 ]
 
-#: The pipeline schemes the paper's scheme-comparison figures evaluate.
-PAPER_SCHEMES = ("zb-v", "v-half", "1f1b", "interleaved-1f1b", "slimpipe")
-
 
 # ===========================================================================
 # Figure 1 — memory footprint vs PP size, classic PP vs SlimPipe
 # ===========================================================================
-@dataclass(frozen=True)
-class Figure1Row:
-    pipeline_parallel_size: int
-    model_state_gib: float
-    classic_activation_gib: float
-    slimpipe_activation_gib: float
-
-
-@dataclass
-class Figure1Result:
-    model: str
-    sequence_length: int
-    rows: List[Figure1Row] = field(default_factory=list)
-
-    def to_text(self) -> str:
-        return render_table(
-            ["p", "model states (GiB)", "classic PP activations (GiB)", "SlimPipe activations (GiB)"],
-            [
-                (
-                    r.pipeline_parallel_size,
-                    f"{r.model_state_gib:.1f}",
-                    f"{r.classic_activation_gib:.1f}",
-                    f"{r.slimpipe_activation_gib:.1f}",
-                )
-                for r in self.rows
-            ],
-            title=f"Figure 1 — GPU memory vs PP size ({self.model}, {self.sequence_length // KILO_TOKENS}K)",
-        )
-
-
 def figure1_memory_footprint(
     model: ModelConfig = LLAMA_70B,
     sequence_length: int = 64 * KILO_TOKENS,
@@ -100,13 +69,13 @@ def figure1_memory_footprint(
     tensor_parallel_size: int = 8,
     num_microbatches: int = 16,
     slices_per_stage: int = 4,
-) -> Figure1Result:
+) -> Table:
     """Classic PP keeps activation memory constant; SlimPipe divides it by ``p``.
 
     Pipeline sizes that do not divide the model's layer count are skipped.
     """
     cluster = hopper_cluster(max(pipeline_sizes) * tensor_parallel_size)
-    result = Figure1Result(model=model.name, sequence_length=sequence_length)
+    rows = []
     for p in pipeline_sizes:
         if model.num_layers % p != 0:
             continue
@@ -122,45 +91,36 @@ def figure1_memory_footprint(
         slim = m_a * activation_memory_factor(
             "slimpipe", p, num_microbatches, slices_per_stage * p
         )
-        result.rows.append(
-            Figure1Row(
-                pipeline_parallel_size=p,
-                model_state_gib=states / GIB,
-                classic_activation_gib=classic / GIB,
-                slimpipe_activation_gib=slim / GIB,
-            )
+        rows.append(
+            {
+                "pipeline_parallel_size": p,
+                "model_state_gib": states / GIB,
+                "classic_activation_gib": classic / GIB,
+                "slimpipe_activation_gib": slim / GIB,
+            }
         )
-    return result
+    context_k = sequence_length // KILO_TOKENS
+    return Table(
+        title=f"Figure 1 — GPU memory vs PP size ({model.name}, {context_k}K)",
+        columns=(
+            Column("p", "pipeline_parallel_size"),
+            Column("model states (GiB)", "model_state_gib", "{:.1f}"),
+            Column("classic PP activations (GiB)", "classic_activation_gib", "{:.1f}"),
+            Column("SlimPipe activations (GiB)", "slimpipe_activation_gib", "{:.1f}"),
+        ),
+        rows=rows,
+        golden=(
+            (
+                "p{pipeline_parallel_size}.{}",
+                ("model_state_gib", "classic_activation_gib", "slimpipe_activation_gib"),
+            ),
+        ),
+    )
 
 
 # ===========================================================================
 # Figure 2 — maximum context length per PP scheme
 # ===========================================================================
-@dataclass(frozen=True)
-class Figure2Row:
-    scheme: str
-    max_context_k: int
-
-
-@dataclass
-class Figure2Result:
-    model: str
-    rows: List[Figure2Row] = field(default_factory=list)
-
-    def max_context(self, scheme: str) -> int:
-        for row in self.rows:
-            if row.scheme == scheme:
-                return row.max_context_k
-        raise KeyError(scheme)
-
-    def to_text(self) -> str:
-        return render_table(
-            ["scheme", "max context (K tokens)"],
-            [(r.scheme, r.max_context_k) for r in self.rows],
-            title=f"Figure 2 — maximum context length ({self.model}, 8-way TP, 8-way PP)",
-        )
-
-
 def figure2_max_context(
     model: ModelConfig = LLAMA_13B,
     schemes: Sequence[str] = PAPER_SCHEMES,
@@ -169,7 +129,7 @@ def figure2_max_context(
     tokens_per_iteration: int = 4 * 1024 * 1024,
     max_context_k: int = 1024,
     step_k: int = 4,
-) -> Figure2Result:
+) -> Table:
     """Largest context each scheme can fit (no recompute restriction lifted).
 
     A scheme's maximum context is the largest multiple of ``step_k`` K tokens
@@ -178,7 +138,7 @@ def figure2_max_context(
     schedule itself, before any memory/compute trade-off is invoked.
     """
     cluster = hopper_cluster(tensor_parallel_size * pipeline_parallel_size)
-    result = Figure2Result(model=model.name)
+    rows = []
     for scheme in schemes:
         system = SchemeSystem(scheme, forced_recompute=RecomputeMode.NONE)
         feasible_k = 0
@@ -204,37 +164,21 @@ def figure2_max_context(
                 low = mid + step_k
             else:
                 high = mid - step_k
-        result.rows.append(Figure2Row(scheme=scheme, max_context_k=feasible_k))
-    return result
+        rows.append({"scheme": scheme, "max_context_k": feasible_k})
+    return Table(
+        title=f"Figure 2 — maximum context length ({model.name}, 8-way TP, 8-way PP)",
+        columns=(
+            Column("scheme", "scheme"),
+            Column("max context (K tokens)", "max_context_k"),
+        ),
+        rows=rows,
+        golden=(("{scheme}.{}", ("max_context_k",)),),
+    )
 
 
 # ===========================================================================
 # Figure 3 — theoretical bubble fraction per scheme
 # ===========================================================================
-@dataclass(frozen=True)
-class Figure3Row:
-    scheme: str
-    bubble_fraction: float
-
-
-@dataclass
-class Figure3Result:
-    rows: List[Figure3Row] = field(default_factory=list)
-
-    def fraction(self, scheme: str) -> float:
-        for row in self.rows:
-            if row.scheme == scheme:
-                return row.bubble_fraction
-        raise KeyError(scheme)
-
-    def to_text(self) -> str:
-        return render_table(
-            ["scheme", "bubble fraction"],
-            [(r.scheme, f"{r.bubble_fraction:.3f}") for r in self.rows],
-            title="Figure 3 — theoretical bubble fractions (p=8, m=4, 256K context)",
-        )
-
-
 def figure3_bubble_fractions(
     model: ModelConfig = LLAMA_13B,
     schemes: Sequence[str] = PAPER_SCHEMES,
@@ -243,81 +187,72 @@ def figure3_bubble_fractions(
     sequence_length: int = 256 * KILO_TOKENS,
     num_slices: Optional[int] = None,
     virtual_stages: int = 5,
-) -> Figure3Result:
+) -> Table:
     """Bubble fractions of the schemes at the Figure 3 operating point."""
     cluster = hopper_cluster(8)
     estimator = AnalyticEstimator(model, cluster)
     share = estimator.attention_share(sequence_length)
     n = num_slices or 4 * pipeline_parallel_size
-    result = Figure3Result()
+    rows = []
     for scheme in schemes:
         v = virtual_stages if scheme in ("interleaved-1f1b", "slimpipe") else 1
-        result.rows.append(
-            Figure3Row(
-                scheme=scheme,
-                bubble_fraction=bubble_fraction_estimate(
-                    scheme,
-                    pipeline_parallel_size,
-                    num_microbatches,
-                    n,
-                    v,
-                    attention_share=share,
-                ),
-            )
+        fraction = bubble_fraction_estimate(
+            scheme, pipeline_parallel_size, num_microbatches, n, v, attention_share=share
         )
-    return result
+        rows.append({"scheme": scheme, "bubble_fraction": fraction})
+    return Table(
+        title="Figure 3 — theoretical bubble fractions (p=8, m=4, 256K context)",
+        columns=(
+            Column("scheme", "scheme"),
+            Column("bubble fraction", "bubble_fraction", "{:.3f}"),
+        ),
+        rows=rows,
+        golden=(("{scheme}.{}", ("bubble_fraction",)),),
+    )
 
 
 # ===========================================================================
 # Figures 4 & 5 — schedule structure
 # ===========================================================================
-@dataclass
-class ScheduleStructureResult:
-    name: str
-    num_devices: int
-    num_microbatches: int
-    num_slices: int
-    stages_per_device: int
-    warmup_units: List[int]
-    peak_activation_units: List[int]
-    accumulated_fraction_of_microbatch: float
-    ascii_timeline: str
-
-    def to_text(self) -> str:
-        header = (
-            f"{self.name}: p={self.num_devices} m={self.num_microbatches} "
-            f"n={self.num_slices} v={self.stages_per_device}\n"
-            f"warm-up units per device: {self.warmup_units}\n"
-            f"peak live slice-stage units: {self.peak_activation_units}\n"
-            f"accumulated activation (fraction of one microbatch M_a): "
-            f"{self.accumulated_fraction_of_microbatch:.4f}\n"
-        )
-        return header + self.ascii_timeline
-
-
-def _schedule_structure(
-    p: int, m: int, n: int, v: int, name: str
-) -> ScheduleStructureResult:
+def _schedule_structure(p: int, m: int, n: int, v: int, name: str) -> Table:
+    """One row per device plus the timeline as free text (no columns)."""
     schedule = build_slimpipe_schedule(p, m, n, v)
     config = SlimPipeScheduleConfig(p, m, n, v)
     timeline = SimulationEngine(schedule, UniformCostProvider(1.0, 2.0)).run()
+    warmups = [warmup_units(config, r) for r in range(p)]
     peaks = schedule.max_inflight_activations()
-    return ScheduleStructureResult(
-        name=name,
-        num_devices=p,
-        num_microbatches=m,
-        num_slices=n,
-        stages_per_device=v,
-        warmup_units=[warmup_units(config, r) for r in range(p)],
-        peak_activation_units=peaks,
-        accumulated_fraction_of_microbatch=max(peaks) / (n * v * p),
-        ascii_timeline=timeline.render_ascii(),
+    accumulated = max(peaks) / (n * v * p)
+    return Table(
+        title=f"{name}: p={p} m={m} n={n} v={v}",
+        rows=[
+            {"device": r, "warmup_units": w, "peak_activation_units": peak}
+            for r, (w, peak) in enumerate(zip(warmups, peaks))
+        ],
+        body=(
+            f"warm-up units per device: {warmups}\n"
+            f"peak live slice-stage units: {peaks}\n"
+            f"accumulated activation (fraction of one microbatch M_a): "
+            f"{accumulated:.4f}\n" + timeline.render_ascii()
+        ),
+        summary={
+            "num_devices": p,
+            "num_microbatches": m,
+            "num_slices": n,
+            "stages_per_device": v,
+            "accumulated_fraction": accumulated,
+            "total_warmup_units": sum(warmups),
+            "peak_activation_units_max": max(peaks),
+        },
+        golden=(
+            ("{}", ("accumulated_fraction", "total_warmup_units", "peak_activation_units_max")),
+            ("{}.dev{device}", ("warmup_units",)),
+        ),
     )
 
 
 def figure4_schedule_structure(
     pipeline_parallel_size: int = 4, num_microbatches: int = 3, num_slices: int = 8
-) -> ScheduleStructureResult:
+) -> Table:
     """The plain SlimPipe schedule of Figure 4 (bottom)."""
     return _schedule_structure(
         pipeline_parallel_size, num_microbatches, num_slices, 1, "Figure 4 — SlimPipe schedule"
@@ -329,7 +264,7 @@ def figure5_interleaved_schedule(
     num_microbatches: int = 2,
     num_slices: int = 8,
     stages_per_device: int = 2,
-) -> ScheduleStructureResult:
+) -> Table:
     """The interleaved SlimPipe schedule of Figure 5."""
     return _schedule_structure(
         pipeline_parallel_size,
@@ -343,64 +278,32 @@ def figure5_interleaved_schedule(
 # ===========================================================================
 # Figure 6 — activation memory and bubble fraction vs number of slices
 # ===========================================================================
-@dataclass(frozen=True)
-class Figure6aRow:
-    pipeline_parallel_size: int
-    num_slices: int
-    activation_fraction: float
-
-
-@dataclass(frozen=True)
-class Figure6bRow:
-    num_microbatches: int
-    num_slices: int
-    bubble_fraction: float
-
-
-@dataclass
-class Figure6Result:
-    activation_rows: List[Figure6aRow] = field(default_factory=list)
-    bubble_rows: List[Figure6bRow] = field(default_factory=list)
-
-    def to_text(self) -> str:
-        a = render_table(
-            ["p", "n", "activation (fraction of M_a)"],
-            [
-                (r.pipeline_parallel_size, r.num_slices, f"{r.activation_fraction:.4f}")
-                for r in self.activation_rows
-            ],
-            title="Figure 6a — activation memory vs number of slices",
-        )
-        b = render_table(
-            ["m", "n", "bubble fraction"],
-            [
-                (r.num_microbatches, r.num_slices, f"{r.bubble_fraction:.4f}")
-                for r in self.bubble_rows
-            ],
-            title="Figure 6b — bubble fraction vs number of slices (p=4)",
-        )
-        return a + "\n" + b
-
-
 def figure6a_activation_vs_slices(
     pipeline_sizes: Sequence[int] = (4, 8, 16),
     slice_multipliers: Sequence[int] = (1, 2, 3, 4, 5, 6),
     num_microbatches: int = 8,
-) -> List[Figure6aRow]:
-    rows = []
-    for p in pipeline_sizes:
-        for mult in slice_multipliers:
-            n = mult * p
-            rows.append(
-                Figure6aRow(
-                    pipeline_parallel_size=p,
-                    num_slices=n,
-                    activation_fraction=activation_memory_factor(
-                        "slimpipe", p, num_microbatches, n
-                    ),
-                )
-            )
-    return rows
+) -> Table:
+    rows = [
+        {
+            "pipeline_parallel_size": p,
+            "num_slices": mult * p,
+            "activation_fraction": activation_memory_factor(
+                "slimpipe", p, num_microbatches, mult * p
+            ),
+        }
+        for p in pipeline_sizes
+        for mult in slice_multipliers
+    ]
+    return Table(
+        title="Figure 6a — activation memory vs number of slices",
+        columns=(
+            Column("p", "pipeline_parallel_size"),
+            Column("n", "num_slices"),
+            Column("activation (fraction of M_a)", "activation_fraction", "{:.4f}"),
+        ),
+        rows=rows,
+        golden=(("activation.p{pipeline_parallel_size}.n{num_slices}", ("activation_fraction",)),),
+    )
 
 
 def figure6b_bubble_vs_slices(
@@ -408,55 +311,67 @@ def figure6b_bubble_vs_slices(
     microbatch_counts: Sequence[int] = (2, 4, 8),
     slice_multipliers: Sequence[int] = (1, 2, 3, 4, 5, 6),
     attention_share: float = 0.5,
-) -> List[Figure6bRow]:
-    rows = []
+) -> Table:
     p = pipeline_parallel_size
-    for m in microbatch_counts:
-        for mult in slice_multipliers:
-            n = mult * p
-            rows.append(
-                Figure6bRow(
-                    num_microbatches=m,
-                    num_slices=n,
-                    bubble_fraction=bubble_fraction_estimate(
-                        "slimpipe", p, m, n, attention_share=attention_share
-                    ),
-                )
-            )
-    return rows
+    rows = [
+        {
+            "num_microbatches": m,
+            "num_slices": mult * p,
+            "bubble_fraction": bubble_fraction_estimate(
+                "slimpipe", p, m, mult * p, attention_share=attention_share
+            ),
+        }
+        for m in microbatch_counts
+        for mult in slice_multipliers
+    ]
+    return Table(
+        title=f"Figure 6b — bubble fraction vs number of slices (p={p})",
+        columns=(
+            Column("m", "num_microbatches"),
+            Column("n", "num_slices"),
+            Column("bubble fraction", "bubble_fraction", "{:.4f}"),
+        ),
+        rows=rows,
+        golden=(("bubble.m{num_microbatches}.n{num_slices}", ("bubble_fraction",)),),
+    )
 
 
-def figure6_slices_sweep() -> Figure6Result:
+def figure6_slices_sweep() -> Table:
     """Both panels of Figure 6 at their default operating points."""
-    return Figure6Result(
-        activation_rows=figure6a_activation_vs_slices(),
-        bubble_rows=figure6b_bubble_vs_slices(),
+    return Table(
+        title="Figure 6 — activation memory and bubble fraction vs number of slices",
+        panels=(figure6a_activation_vs_slices(), figure6b_bubble_vs_slices()),
     )
 
 
 # ===========================================================================
-# Figure 7 — imbalance bubbles without context exchange
+# Figures 7 & 9 — SlimPipe timelines with one planner option toggled
 # ===========================================================================
-@dataclass
-class Figure7Result:
-    bubble_without_exchange: float
-    bubble_with_exchange: float
-    makespan_without_exchange: float
-    makespan_with_exchange: float
-
-    @property
-    def bubble_reduction(self) -> float:
-        return self.bubble_without_exchange - self.bubble_with_exchange
-
-    def to_text(self) -> str:
-        return render_table(
-            ["context exchange", "bubble fraction", "iteration time (s)"],
-            [
-                ("off", f"{self.bubble_without_exchange:.3f}", f"{self.makespan_without_exchange:.2f}"),
-                ("on", f"{self.bubble_with_exchange:.3f}", f"{self.makespan_with_exchange:.2f}"),
-            ],
-            title="Figure 7 — imbalance bubbles caused by causal attention",
-        )
+def _planner_runs(
+    model: ModelConfig,
+    pipeline_parallel_size: int,
+    num_microbatches: int,
+    num_slices: int,
+    sequence_length: int,
+    tensor_parallel_size: int,
+    options: Sequence[SlimPipeOptions],
+):
+    """One planned SlimPipe iteration per option set, on otherwise equal inputs."""
+    parallel = ParallelConfig(
+        tensor_parallel_size=tensor_parallel_size,
+        pipeline_parallel_size=pipeline_parallel_size,
+        num_slices=num_slices,
+    )
+    workload = WorkloadConfig(
+        sequence_length=sequence_length,
+        tokens_per_iteration=sequence_length * num_microbatches,
+    )
+    return [
+        SlimPipePlanner(
+            model, hopper_cluster(parallel.world_size), parallel, workload, option
+        ).run()
+        for option in options
+    ]
 
 
 def figure7_imbalance_bubbles(
@@ -466,97 +381,38 @@ def figure7_imbalance_bubbles(
     num_slices: int = 8,
     sequence_length: int = 256 * KILO_TOKENS,
     tensor_parallel_size: int = 8,
-) -> Figure7Result:
+) -> Table:
     """Simulate the SlimPipe timeline with and without attention rebalancing."""
-    results = {}
-    for exchange in (False, True):
-        parallel = ParallelConfig(
-            tensor_parallel_size=tensor_parallel_size,
-            pipeline_parallel_size=pipeline_parallel_size,
-            num_slices=num_slices,
-        )
-        cluster = hopper_cluster(parallel.world_size)
-        workload = WorkloadConfig(
-            sequence_length=sequence_length,
-            tokens_per_iteration=sequence_length * num_microbatches,
-        )
-        planner = SlimPipePlanner(
-            model,
-            cluster,
-            parallel,
-            workload,
-            SlimPipeOptions(context_exchange=exchange, vocab_parallel=True),
-        )
-        execution = planner.run()
-        results[exchange] = execution
-    return Figure7Result(
-        bubble_without_exchange=results[False].metrics.bubble_fraction,
-        bubble_with_exchange=results[True].metrics.bubble_fraction,
-        makespan_without_exchange=results[False].iteration_time,
-        makespan_with_exchange=results[True].iteration_time,
+    runs = _planner_runs(
+        model,
+        pipeline_parallel_size,
+        num_microbatches,
+        num_slices,
+        sequence_length,
+        tensor_parallel_size,
+        [SlimPipeOptions(context_exchange=on, vocab_parallel=True) for on in (False, True)],
     )
-
-
-# ===========================================================================
-# Figure 8 — attention workload rebalancing
-# ===========================================================================
-@dataclass
-class Figure8Result:
-    original: List[float]
-    balanced: List[float]
-    num_transfers: int
-    max_imbalance_before: float
-    max_imbalance_after: float
-
-    def to_text(self) -> str:
-        return render_table(
-            ["device", "KV slices before", "KV slices after"],
-            [
-                (d, f"{o:.1f}", f"{b:.1f}")
-                for d, (o, b) in enumerate(zip(self.original, self.balanced))
-            ],
-            title="Figure 8 — attention workload rebalanced by context exchange",
-        )
-
-
-def figure8_context_exchange_plan(
-    num_devices: int = 6, num_slices: int = 12, phase_offset: int = 3
-) -> Figure8Result:
-    """The Figure 8 rebalancing example: arithmetic-progression loads equalised."""
-    loads = concurrent_kv_slices(num_devices, phase_offset, num_slices)
-    plan = balance_workloads(loads)
-    return Figure8Result(
-        original=plan.original,
-        balanced=plan.balanced,
-        num_transfers=len(plan.transfers),
-        max_imbalance_before=plan.max_imbalance_before,
-        max_imbalance_after=plan.max_imbalance_after,
+    return Table(
+        title="Figure 7 — imbalance bubbles caused by causal attention",
+        columns=(
+            Column("context exchange", "context_exchange"),
+            Column("bubble fraction", "bubble_fraction", "{:.3f}"),
+            Column("iteration time (s)", "iteration_time", "{:.2f}"),
+        ),
+        rows=[
+            {
+                "context_exchange": label,
+                "exchange": exchange,
+                "bubble_fraction": run.metrics.bubble_fraction,
+                "iteration_time": run.iteration_time,
+            }
+            for label, exchange, run in zip(("off", "on"), ("without", "with"), runs)
+        ],
+        golden=(
+            ("bubble_{exchange}_exchange", ("bubble_fraction",)),
+            ("makespan_{exchange}_exchange", ("iteration_time",)),
+        ),
     )
-
-
-# ===========================================================================
-# Figure 9 — the output-layer bubble and vocabulary parallelism
-# ===========================================================================
-@dataclass
-class Figure9Result:
-    makespan_last_device_gemm: float
-    makespan_vocab_parallel: float
-    bubble_last_device_gemm: float
-    bubble_vocab_parallel: float
-
-    @property
-    def speedup(self) -> float:
-        return self.makespan_last_device_gemm / self.makespan_vocab_parallel
-
-    def to_text(self) -> str:
-        return render_table(
-            ["output layer placement", "iteration time (s)", "bubble fraction"],
-            [
-                ("last device only", f"{self.makespan_last_device_gemm:.2f}", f"{self.bubble_last_device_gemm:.3f}"),
-                ("vocabulary parallel", f"{self.makespan_vocab_parallel:.2f}", f"{self.bubble_vocab_parallel:.3f}"),
-            ],
-            title="Figure 9 — output-layer GEMM bubble with / without vocabulary parallelism",
-        )
 
 
 def figure9_vocab_parallel_bubble(
@@ -566,72 +422,77 @@ def figure9_vocab_parallel_bubble(
     num_slices: int = 8,
     sequence_length: int = 128 * KILO_TOKENS,
     tensor_parallel_size: int = 8,
-) -> Figure9Result:
-    results = {}
-    for vocab_parallel in (False, True):
-        parallel = ParallelConfig(
-            tensor_parallel_size=tensor_parallel_size,
-            pipeline_parallel_size=pipeline_parallel_size,
-            num_slices=num_slices,
-        )
-        cluster = hopper_cluster(parallel.world_size)
-        workload = WorkloadConfig(
-            sequence_length=sequence_length,
-            tokens_per_iteration=sequence_length * num_microbatches,
-        )
-        planner = SlimPipePlanner(
-            model,
-            cluster,
-            parallel,
-            workload,
-            SlimPipeOptions(context_exchange=True, vocab_parallel=vocab_parallel),
-        )
-        results[vocab_parallel] = planner.run()
-    return Figure9Result(
-        makespan_last_device_gemm=results[False].iteration_time,
-        makespan_vocab_parallel=results[True].iteration_time,
-        bubble_last_device_gemm=results[False].metrics.bubble_fraction,
-        bubble_vocab_parallel=results[True].metrics.bubble_fraction,
+) -> Table:
+    runs = _planner_runs(
+        model,
+        pipeline_parallel_size,
+        num_microbatches,
+        num_slices,
+        sequence_length,
+        tensor_parallel_size,
+        [SlimPipeOptions(context_exchange=True, vocab_parallel=on) for on in (False, True)],
+    )
+    return Table(
+        title="Figure 9 — output-layer GEMM bubble with / without vocabulary parallelism",
+        columns=(
+            Column("output layer placement", "placement"),
+            Column("iteration time (s)", "iteration_time", "{:.2f}"),
+            Column("bubble fraction", "bubble_fraction", "{:.3f}"),
+        ),
+        rows=[
+            {
+                "placement": placement,
+                "layer": layer,
+                "iteration_time": run.iteration_time,
+                "bubble_fraction": run.metrics.bubble_fraction,
+            }
+            for placement, layer, run in zip(
+                ("last device only", "vocabulary parallel"),
+                ("last_device_gemm", "vocab_parallel"),
+                runs,
+            )
+        ],
+        summary={"speedup": runs[0].iteration_time / runs[1].iteration_time},
+        golden=(
+            ("makespan_{layer}", ("iteration_time",)),
+            ("bubble_{layer}", ("bubble_fraction",)),
+            ("{}", ("speedup",)),
+        ),
+    )
+
+
+# ===========================================================================
+# Figure 8 — attention workload rebalancing
+# ===========================================================================
+def figure8_context_exchange_plan(
+    num_devices: int = 6, num_slices: int = 12, phase_offset: int = 3
+) -> Table:
+    """The Figure 8 rebalancing example: arithmetic-progression loads equalised."""
+    loads = concurrent_kv_slices(num_devices, phase_offset, num_slices)
+    plan = balance_workloads(loads)
+    return Table(
+        title="Figure 8 — attention workload rebalanced by context exchange",
+        columns=(
+            Column("device", "device"),
+            Column("KV slices before", "kv_before", "{:.1f}"),
+            Column("KV slices after", "kv_after", "{:.1f}"),
+        ),
+        rows=[
+            {"device": d, "kv_before": before, "kv_after": after}
+            for d, (before, after) in enumerate(zip(plan.original, plan.balanced))
+        ],
+        summary={
+            "num_transfers": len(plan.transfers),
+            "max_imbalance_before": plan.max_imbalance_before,
+            "max_imbalance_after": plan.max_imbalance_after,
+        },
+        golden=(("{}", ("num_transfers", "max_imbalance_before", "max_imbalance_after")),),
     )
 
 
 # ===========================================================================
 # Figure 10 — memory scaling with PP size, measured vs M_t / p
 # ===========================================================================
-@dataclass(frozen=True)
-class Figure10Row:
-    sequence_k: int
-    pipeline_parallel_size: int
-    first_device_gib: float
-    last_device_gib: float
-    theoretical_gib: float
-
-
-@dataclass
-class Figure10Result:
-    model: str
-    rows: List[Figure10Row] = field(default_factory=list)
-
-    def rows_for(self, sequence_k: int) -> List[Figure10Row]:
-        return [r for r in self.rows if r.sequence_k == sequence_k]
-
-    def to_text(self) -> str:
-        return render_table(
-            ["context", "p", "first device (GiB)", "last device (GiB)", "M_t / p (GiB)"],
-            [
-                (
-                    f"{r.sequence_k}K",
-                    r.pipeline_parallel_size,
-                    f"{r.first_device_gib:.1f}",
-                    f"{r.last_device_gib:.1f}",
-                    f"{r.theoretical_gib:.1f}",
-                )
-                for r in self.rows
-            ],
-            title=f"Figure 10 — memory vs PP size ({self.model}, 8-way TP, max interleave)",
-        )
-
-
 def figure10_memory_scaling(
     model: ModelConfig = LLAMA_13B,
     sequence_ks: Sequence[int] = (32, 64, 96),
@@ -639,9 +500,9 @@ def figure10_memory_scaling(
     tensor_parallel_size: int = 8,
     num_microbatches: int = 4,
     slices_per_stage: int = 4,
-) -> Figure10Result:
+) -> Table:
     """Per-device peak memory of SlimPipe vs the ``M_t / p`` theoretical curve."""
-    result = Figure10Result(model=model.name)
+    rows = []
     for seq_k in sequence_ks:
         seq = tokens_from_k(seq_k)
         for p in pipeline_sizes:
@@ -674,50 +535,37 @@ def figure10_memory_scaling(
                 + estimator.microbatch_activation_bytes(no_pp, seq, RecomputeMode.NONE)
                 + estimator.loss_logits_bytes(no_pp, seq)
             )
-            result.rows.append(
-                Figure10Row(
-                    sequence_k=seq_k,
-                    pipeline_parallel_size=p,
-                    first_device_gib=profiles[0].peak_bytes / GIB,
-                    last_device_gib=profiles[-1].peak_bytes / GIB,
-                    theoretical_gib=m_t / p / GIB,
-                )
+            rows.append(
+                {
+                    "sequence_k": seq_k,
+                    "pipeline_parallel_size": p,
+                    "first_device_gib": profiles[0].peak_bytes / GIB,
+                    "last_device_gib": profiles[-1].peak_bytes / GIB,
+                    "theoretical_gib": m_t / p / GIB,
+                }
             )
-    return result
+    return Table(
+        title=f"Figure 10 — memory vs PP size ({model.name}, 8-way TP, max interleave)",
+        columns=(
+            Column("context", "sequence_k", "{}K"),
+            Column("p", "pipeline_parallel_size"),
+            Column("first device (GiB)", "first_device_gib", "{:.1f}"),
+            Column("last device (GiB)", "last_device_gib", "{:.1f}"),
+            Column("M_t / p (GiB)", "theoretical_gib", "{:.1f}"),
+        ),
+        rows=rows,
+        golden=(
+            (
+                "s{sequence_k}k.p{pipeline_parallel_size}.{}",
+                ("first_device_gib", "last_device_gib", "theoretical_gib"),
+            ),
+        ),
+    )
 
 
 # ===========================================================================
 # Figure 11 — MFU vs number of slices
 # ===========================================================================
-@dataclass(frozen=True)
-class Figure11Row:
-    sequence_k: int
-    num_slices: int
-    mfu: float
-
-
-@dataclass
-class Figure11Result:
-    model: str
-    rows: List[Figure11Row] = field(default_factory=list)
-
-    def series(self, sequence_k: int) -> List[Tuple[int, float]]:
-        return [
-            (r.num_slices, r.mfu) for r in self.rows if r.sequence_k == sequence_k
-        ]
-
-    def best_slices(self, sequence_k: int) -> int:
-        series = self.series(sequence_k)
-        return max(series, key=lambda item: item[1])[0]
-
-    def to_text(self) -> str:
-        return render_table(
-            ["context", "n", "MFU (%)"],
-            [(f"{r.sequence_k}K", r.num_slices, f"{r.mfu * 100:.1f}") for r in self.rows],
-            title=f"Figure 11 — MFU vs number of slices ({self.model}, p=4)",
-        )
-
-
 def figure11_mfu_vs_slices(
     model: ModelConfig = LLAMA_13B,
     sequence_ks: Sequence[int] = (128, 256, 512),
@@ -726,10 +574,13 @@ def figure11_mfu_vs_slices(
     tensor_parallel_size: int = 8,
     virtual_stages: int = 5,
     num_microbatches: int = 2,
-) -> Figure11Result:
-    """Finer slicing first helps (fewer bubbles) then hurts (arithmetic intensity)."""
-    result = Figure11Result(model=model.name)
+) -> Table:
+    """Finer slicing first helps (fewer bubbles) then hurts (arithmetic intensity).
+
+    The summary holds each context's best slice count, ``s<K>k.best_slices``.
+    """
     cluster = hopper_cluster(tensor_parallel_size * pipeline_parallel_size)
+    rows = []
     for seq_k in sequence_ks:
         seq = tokens_from_k(seq_k)
         workload = WorkloadConfig(
@@ -750,68 +601,39 @@ def figure11_mfu_vs_slices(
                 num_slices=n,
             )
             estimate = system.evaluate(model, cluster, workload, parallel)
-            result.rows.append(
-                Figure11Row(
-                    sequence_k=seq_k,
-                    num_slices=n,
-                    mfu=estimate.mfu if estimate.feasible else 0.0,
-                )
+            rows.append(
+                {
+                    "sequence_k": seq_k,
+                    "num_slices": n,
+                    "mfu": estimate.mfu if estimate.feasible else 0.0,
+                }
             )
-    return result
+    best = {
+        f"s{seq_k}k.best_slices": max(
+            (r for r in rows if r["sequence_k"] == seq_k), key=lambda r: r["mfu"]
+        )["num_slices"]
+        for seq_k in sequence_ks
+    }
+    return Table(
+        title=f"Figure 11 — MFU vs number of slices ({model.name}, p=4)",
+        columns=(
+            Column("context", "sequence_k", "{}K"),
+            Column("n", "num_slices"),
+            Column("MFU (%)", "mfu", lambda r: f"{r['mfu'] * 100:.1f}"),
+        ),
+        rows=rows,
+        summary=best,
+        golden=(("s{sequence_k}k.n{num_slices}.{}", ("mfu",)), ("{}", tuple(best))),
+    )
 
 
 # ===========================================================================
 # Figure 12 — end-to-end comparison DeepSpeed vs Megatron-LM vs SlimPipe
 # ===========================================================================
-@dataclass(frozen=True)
-class Figure12Cell:
-    model: str
-    num_gpus: int
-    sequence_k: int
-    system: str
-    feasible: bool
-    reason: str
-    mfu: float
-
-    @property
-    def label(self) -> str:
-        if self.feasible:
-            return f"{self.mfu * 100:.1f}%"
-        return "OOM" if self.reason == "oom" else "no-config"
-
-
-@dataclass
-class Figure12Result:
-    cells: List[Figure12Cell] = field(default_factory=list)
-
-    def cell(self, model: str, num_gpus: int, sequence_k: int, system: str) -> Figure12Cell:
-        for c in self.cells:
-            if (
-                c.model == model
-                and c.num_gpus == num_gpus
-                and c.sequence_k == sequence_k
-                and c.system == system
-            ):
-                return c
-        raise KeyError((model, num_gpus, sequence_k, system))
-
-    def speedup_over_megatron(self, model: str, num_gpus: int, sequence_k: int) -> Optional[float]:
-        slim = self.cell(model, num_gpus, sequence_k, "slimpipe")
-        base = self.cell(model, num_gpus, sequence_k, "megatron-lm")
-        if slim.feasible and base.feasible and base.mfu > 0:
-            return slim.mfu / base.mfu
-        return None
-
-    def to_text(self) -> str:
-        rows = [
-            (c.model, c.num_gpus, f"{c.sequence_k}K", c.system, c.label)
-            for c in self.cells
-        ]
-        return render_table(
-            ["model", "GPUs", "context", "system", "MFU"],
-            rows,
-            title="Figure 12 — end-to-end MFU comparison",
-        )
+def _mfu_label(row) -> str:
+    if row["feasible"]:
+        return f"{row['mfu'] * 100:.1f}%"
+    return "OOM" if row["reason"] == "oom" else "no-config"
 
 
 def figure12_end_to_end(
@@ -820,19 +642,22 @@ def figure12_end_to_end(
     sequence_ks: Sequence[int] = (64, 128, 256, 512),
     tokens_per_iteration: int = 4 * 1024 * 1024,
     workers: int = 0,
-    cache: Optional[SweepCache] = None,
-) -> Figure12Result:
+    cache: Optional["SweepCache"] = None,
+) -> Table:
     """The Figure 12 grid (a subset by default; pass the full lists to widen it).
 
     Each cell is one independent grid search, so the whole figure is a sweep:
     ``workers > 1`` fans the cells out over that many processes and ``cache``
-    memoizes per-cell results on disk (see :mod:`repro.sweep`).  Cell order
-    matches the historical nested loops (model, GPUs, context, system).
+    (a :class:`~repro.sweep.cache.SweepCache`) memoizes per-cell results on
+    disk.  Cell order matches the historical nested loops (model, GPUs,
+    context, system).  Each SlimPipe row also carries its
+    ``speedup_over_megatron`` (``None`` when either side is infeasible).
 
     Models travel to the evaluator by registry name, so every entry of
     ``models`` must be (equal to) a registered configuration.
     """
     from ..model.config import get_model_config
+    from ..sweep import SweepSpec, run_sweep
 
     for model in models:
         if get_model_config(model.name) != model:
@@ -851,121 +676,104 @@ def figure12_end_to_end(
         },
         base={"tokens_per_iteration": tokens_per_iteration},
     )
-    sweep = run_sweep(spec, workers=workers, cache=cache)
-    result = Figure12Result()
-    for point, row in sweep:
-        result.cells.append(
-            Figure12Cell(
-                model=str(point["model"]),
-                num_gpus=int(point["num_gpus"]),
-                sequence_k=int(point["sequence_k"]),
-                system=str(point["system"]),
-                feasible=bool(row["feasible"]),
-                reason=str(row["reason"]),
-                mfu=float(row["mfu"]),
-            )
-        )
-    return result
+    rows = [
+        {
+            "model": str(point["model"]),
+            "num_gpus": int(point["num_gpus"]),
+            "sequence_k": int(point["sequence_k"]),
+            "system": str(point["system"]),
+            "feasible": bool(result["feasible"]),
+            "reason": str(result["reason"]),
+            "mfu": float(result["mfu"]),
+        }
+        for point, result in run_sweep(spec, workers=workers, cache=cache)
+    ]
+    megatron = {
+        (r["model"], r["num_gpus"], r["sequence_k"]): r
+        for r in rows
+        if r["system"] == "megatron-lm"
+    }
+    for slim in rows:
+        if slim["system"] == "slimpipe":
+            base = megatron[slim["model"], slim["num_gpus"], slim["sequence_k"]]
+            feasible = slim["feasible"] and base["feasible"] and base["mfu"] > 0
+            slim["speedup_over_megatron"] = slim["mfu"] / base["mfu"] if feasible else None
+    return Table(
+        title="Figure 12 — end-to-end MFU comparison",
+        columns=(
+            Column("model", "model"),
+            Column("GPUs", "num_gpus"),
+            Column("context", "sequence_k", "{}K"),
+            Column("system", "system"),
+            Column("MFU", "mfu", _mfu_label),
+        ),
+        rows=rows,
+        golden=(
+            ("s{sequence_k}k.{system}.{}", ("feasible", "mfu")),
+            ("s{sequence_k}k.{}", ("speedup_over_megatron",)),
+        ),
+    )
 
 
 # ===========================================================================
 # Figures 13 & 14 — scheme comparison: MFU and memory vs context length
 # ===========================================================================
-@dataclass(frozen=True)
-class SchemeSweepRow:
-    scheme: str
-    sequence_k: int
-    feasible: bool
-    mfu: float
-    peak_memory_gib: float
+def _scheme_comparison(golden_field: str, sequence_ks: Sequence[int]) -> Table:
+    """The ``scheme-context`` sweep behind Figures 13 (MFU) and 14 (memory).
 
-
-@dataclass
-class SchemeSweepResult:
-    model: str
-    rows: List[SchemeSweepRow] = field(default_factory=list)
-
-    def row(self, scheme: str, sequence_k: int) -> SchemeSweepRow:
-        for r in self.rows:
-            if r.scheme == scheme and r.sequence_k == sequence_k:
-                return r
-        raise KeyError((scheme, sequence_k))
-
-    def to_text(self) -> str:
-        return render_table(
-            ["scheme", "context", "MFU (%)", "memory (GiB)"],
-            [
-                (
-                    r.scheme,
-                    f"{r.sequence_k}K",
-                    f"{r.mfu * 100:.1f}" if r.feasible else "OOM",
-                    f"{r.peak_memory_gib:.1f}" if r.feasible else "-",
-                )
-                for r in self.rows
-            ],
-            title=f"Figures 13/14 — PP scheme comparison ({self.model}, 8-way TP)",
-        )
-
-
-def scheme_context_sweep(
-    model: ModelConfig = LLAMA_13B,
-    schemes: Sequence[str] = PAPER_SCHEMES,
-    sequence_ks: Sequence[int] = (32, 64, 128, 256, 512),
-    tensor_parallel_size: int = 8,
-    pipeline_parallel_size: int = 8,
-    batch_sequences: int = 4,
-    virtual_stages: int = 5,
-    num_slices: int = 1,
-) -> SchemeSweepResult:
-    """Shared sweep behind Figures 13 (MFU) and 14 (memory).
-
-    Mirrors Section 6.6: Llama 13B, per-iteration batch of 4 sequences,
-    8-way TP, full checkpointing, 5 stages per device for the interleaved
-    schemes, 4 slices per sequence for SlimPipe.  The zero-bubble variants run
-    *without* checkpointing because, as the paper notes, "its built-in full
-    checkpointing implementation does not work properly in this scheme" —
-    which is what makes them run out of memory first (Figure 14).
+    Mirrors Section 6.6 (see :func:`repro.sweep.evaluators.evaluate_scheme_point`):
+    Llama 13B, per-iteration batch of 4 sequences, 8-way TP, full
+    checkpointing, 5 stages per device for the interleaved schemes.  The
+    zero-bubble variants run *without* checkpointing because, as the paper
+    notes, "its built-in full checkpointing implementation does not work
+    properly in this scheme" — which is what makes them run out of memory
+    first (Figure 14).  Both figures render the same table; they differ only
+    in the metric their golden pins.
     """
-    cluster = hopper_cluster(tensor_parallel_size * pipeline_parallel_size)
-    result = SchemeSweepResult(model=model.name)
-    for scheme in schemes:
-        uses_virtual = scheme in ("interleaved-1f1b", "slimpipe")
-        recompute = (
-            RecomputeMode.NONE if scheme in ("zb-v", "v-half") else RecomputeMode.FULL
-        )
-        for seq_k in sequence_ks:
-            seq = tokens_from_k(seq_k)
-            workload = WorkloadConfig(
-                sequence_length=seq, tokens_per_iteration=seq * batch_sequences
-            )
-            parallel = ParallelConfig(
-                tensor_parallel_size=tensor_parallel_size,
-                pipeline_parallel_size=pipeline_parallel_size,
-                virtual_pipeline_size=virtual_stages if uses_virtual else 1,
-                num_slices=num_slices * pipeline_parallel_size if scheme == "slimpipe" else None,
-            )
-            system = SchemeSystem(scheme, forced_recompute=recompute)
-            try:
-                estimate = system.evaluate(model, cluster, workload, parallel)
-            except ValueError:
-                estimate = SystemEstimate(system=scheme, feasible=False, reason="invalid")
-            result.rows.append(
-                SchemeSweepRow(
-                    scheme=scheme,
-                    sequence_k=seq_k,
-                    feasible=estimate.feasible,
-                    mfu=estimate.mfu,
-                    peak_memory_gib=estimate.peak_memory_bytes / GIB,
-                )
-            )
-    return result
+    from dataclasses import replace
+
+    from ..sweep import SweepAxis, get_sweep_spec, run_sweep
+
+    spec = get_sweep_spec("scheme-context")
+    spec = replace(
+        spec,
+        axes=tuple(
+            SweepAxis(axis.name, tuple(sequence_ks)) if axis.name == "sequence_k" else axis
+            for axis in spec.axes
+        ),
+    )
+    rows = [
+        {
+            "scheme": str(point["scheme"]),
+            "sequence_k": point["sequence_k"],
+            "feasible": bool(result["feasible"]),
+            "mfu": float(result["mfu"]),
+            "peak_memory_gib": float(result["peak_memory_gib"]),
+        }
+        for point, result in run_sweep(spec)
+    ]
+    return Table(
+        title=f"Figures 13/14 — PP scheme comparison ({dict(spec.base)['model']}, 8-way TP)",
+        columns=(
+            Column("scheme", "scheme"),
+            Column("context", "sequence_k", "{}K"),
+            Column("MFU (%)", "mfu", lambda r: f"{r['mfu'] * 100:.1f}" if r["feasible"] else "OOM"),
+            Column(
+                "memory (GiB)",
+                "peak_memory_gib",
+                lambda r: f"{r['peak_memory_gib']:.1f}" if r["feasible"] else "-",
+            ),
+        ),
+        rows=rows,
+        golden=(("{scheme}.s{sequence_k}k.{}", ("feasible", golden_field)),),
+    )
 
 
-def figure13_scheme_mfu(**kwargs) -> SchemeSweepResult:
+def figure13_scheme_mfu(sequence_ks: Sequence[int] = (32, 64, 128, 256, 512)) -> Table:
     """Figure 13: MFU of the PP schemes across context lengths."""
-    return scheme_context_sweep(**kwargs)
+    return _scheme_comparison("mfu", sequence_ks)
 
 
-def figure14_scheme_memory(**kwargs) -> SchemeSweepResult:
+def figure14_scheme_memory(sequence_ks: Sequence[int] = (32, 64, 128, 256, 512)) -> Table:
     """Figure 14: peak GPU memory of the PP schemes across context lengths."""
-    return scheme_context_sweep(**kwargs)
+    return _scheme_comparison("peak_memory_gib", sequence_ks)

@@ -15,69 +15,16 @@ in parallel processes and ``cache`` memoizes per-pair metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..fleet.router import available_routers
 from ..fleet.scenarios import FLEET_SCENARIO_REGISTRY, get_fleet_scenario
 from ..sweep.cache import SweepCache
 from ..sweep.engine import run_sweep
-from ..sweep.spec import Scalar, SweepSpec
-from .report import format_percent, render_table
+from ..sweep.spec import SweepSpec
+from .report import Column, Table
 
-__all__ = ["FleetComparisonRow", "FleetComparisonResult", "fleet_comparison"]
-
-
-@dataclass(frozen=True)
-class FleetComparisonRow:
-    scenario: str
-    router: str
-    ttft_p50: float
-    ttft_p99: float
-    goodput_fraction: float
-    gpu_hours: float
-    cost_usd: float
-    replicas_peak: int
-    rerouted_requests: int
-    preemptions: int
-
-
-@dataclass
-class FleetComparisonResult:
-    seed: int
-    rows: List[FleetComparisonRow] = field(default_factory=list)
-
-    def to_text(self) -> str:
-        return render_table(
-            [
-                "scenario",
-                "router",
-                "TTFT p50",
-                "TTFT p99",
-                "goodput",
-                "GPU-hours",
-                "cost",
-                "peak replicas",
-                "rerouted",
-                "preempt",
-            ],
-            [
-                (
-                    row.scenario,
-                    row.router,
-                    f"{row.ttft_p50:.2f} s",
-                    f"{row.ttft_p99:.2f} s",
-                    format_percent(row.goodput_fraction),
-                    f"{row.gpu_hours:.2f}",
-                    f"${row.cost_usd:.2f}",
-                    row.replicas_peak,
-                    row.rerouted_requests,
-                    row.preemptions,
-                )
-                for row in self.rows
-            ],
-            title=f"Fleet — routing policy x scenario (seed {self.seed})",
-        )
+__all__ = ["fleet_comparison"]
 
 
 def fleet_comparison(
@@ -86,7 +33,7 @@ def fleet_comparison(
     seed: int = 0,
     workers: int = 0,
     cache: Optional[SweepCache] = None,
-) -> FleetComparisonResult:
+) -> Table:
     """Simulate every (scenario, router) pair and tabulate the results."""
     names = list(scenarios) if scenarios is not None else sorted(FLEET_SCENARIO_REGISTRY)
     for name in names:
@@ -99,20 +46,19 @@ def fleet_comparison(
         base={"seed": seed},
     )
     sweep = run_sweep(spec, workers=workers, cache=cache)
-    result = FleetComparisonResult(seed=seed)
-    for point, row in sweep:
-        result.rows.append(
-            FleetComparisonRow(
-                scenario=str(point["scenario"]),
-                router=str(point["router"]),
-                ttft_p50=float(row["ttft_p50"]),
-                ttft_p99=float(row["ttft_p99"]),
-                goodput_fraction=float(row["goodput_fraction"]),
-                gpu_hours=float(row["gpu_hours"]),
-                cost_usd=float(row["cost_usd"]),
-                replicas_peak=int(row["replicas_peak"]),
-                rerouted_requests=int(row["rerouted_requests"]),
-                preemptions=int(row["preemptions"]),
-            )
-        )
-    return result
+    return Table(
+        title=f"Fleet — routing policy x scenario (seed {seed})",
+        columns=(
+            Column("scenario", "scenario"),
+            Column("router", "router"),
+            Column("TTFT p50", "ttft_p50", "{:.2f} s"),
+            Column("TTFT p99", "ttft_p99", "{:.2f} s"),
+            Column("goodput", "goodput_fraction", "{:.1%}"),
+            Column("GPU-hours", "gpu_hours", "{:.2f}"),
+            Column("cost", "cost_usd", "${:.2f}"),
+            Column("peak replicas", "replicas_peak"),
+            Column("rerouted", "rerouted_requests"),
+            Column("preempt", "preemptions"),
+        ),
+        rows=[{**result, **point} for point, result in sweep],
+    )

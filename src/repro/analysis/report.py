@@ -1,16 +1,106 @@
-"""Plain-text rendering helpers for analysis results.
+"""Plain-text rendering helpers and the one table type of the analysis layer.
 
-The reproduction has no plotting dependency; every figure/table generator
-renders its rows through :func:`render_table`, and :func:`render_markdown_table`
-produces the GitHub-flavoured variant used when regenerating parts of
-EXPERIMENTS.md.
+The reproduction has no plotting dependency.  Every experiment generator
+returns a :class:`Table` — a title, :class:`Column` specs and plain dict
+rows — rendered through :func:`render_table`; :func:`render_markdown_table`
+produces the GitHub-flavoured variant of the same layout.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-__all__ = ["render_table", "render_markdown_table", "format_bytes", "format_percent"]
+__all__ = [
+    "Column",
+    "Table",
+    "render_table",
+    "render_markdown_table",
+    "format_bytes",
+    "format_percent",
+]
+
+#: One table row: field name -> value.
+Row = Dict[str, Any]
+
+
+@dataclass(frozen=True)
+class Column:
+    """One rendered column: a header, the row field it shows, a format.
+
+    ``fmt`` is either a ``str.format`` template applied to ``row[key]``
+    (``"{:.1f}"``, ``"{}K"``) or a function of the whole row, for cells that
+    combine fields (``"OOM"`` when the row is infeasible).
+    """
+
+    header: str
+    key: str
+    fmt: Union[str, Callable[[Row], str]] = "{}"
+
+    def cell(self, row: Row) -> str:
+        if callable(self.fmt):
+            return self.fmt(row)
+        return self.fmt.format(row[self.key])
+
+
+@dataclass
+class Table:
+    """An experiment's result: rows of plain values plus how to show them.
+
+    * ``columns`` render ``rows`` under ``title``; a table without columns
+      renders only its title line, and ``body`` (free text such as a
+      schedule timeline) follows either form.
+    * ``panels`` make a multi-panel figure: the table renders its panels
+      one after another, and the panels carry the rows.
+    * ``summary`` holds the experiment's scalar results that are not rows
+      (the number of context-exchange transfers, the best slice count).
+    * ``golden`` declares the key layout of the golden metrics: each
+      ``(template, fields)`` pair maps every row (and the summary) carrying a
+      field to ``template.format(field, **row)`` -> value, so
+      ``("p{pipeline_parallel_size}.{}", ("mfu",))`` pins ``p8.mfu``.
+    """
+
+    title: str
+    columns: Sequence[Column] = ()
+    rows: List[Row] = field(default_factory=list)
+    body: str = ""
+    panels: Sequence["Table"] = ()
+    summary: Row = field(default_factory=dict)
+    golden: Sequence[Tuple[str, Sequence[str]]] = ()
+
+    def to_text(self) -> str:
+        if self.panels:
+            return "\n".join(panel.to_text() for panel in self.panels)
+        if not self.columns:
+            return f"{self.title}\n{self.body}"
+        text = render_table(
+            [column.header for column in self.columns],
+            [[column.cell(row) for column in self.columns] for row in self.rows],
+            title=self.title,
+        )
+        return text + self.body
+
+    def row(self, **match: Any) -> Row:
+        """The one row whose fields equal ``match`` (``KeyError`` otherwise)."""
+        found = [
+            row for row in self.rows
+            if all(key in row and row[key] == value for key, value in match.items())
+        ]
+        if len(found) != 1:
+            raise KeyError(f"{len(found)} rows of {self.title!r} match {match}")
+        return found[0]
+
+    def golden_metrics(self) -> Dict[str, Any]:
+        """The flat metrics dict the ``golden`` layout declares."""
+        metrics: Dict[str, Any] = {}
+        for panel in self.panels:
+            metrics.update(panel.golden_metrics())
+        for row in self.rows + [self.summary]:
+            for template, fields in self.golden:
+                for name in fields:
+                    if name in row:
+                        metrics[template.format(name, **row)] = row[name]
+        return metrics
 
 
 def _stringify(rows: Iterable[Sequence[object]]) -> List[List[str]]:

@@ -20,28 +20,20 @@ costs the interactive tenant) is visible per tenant, not blended away in
 the aggregate (the ``experiments tenant-qos`` CLI table).
 """
 
+
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from ..serving.metrics import ServingMetrics
 from ..serving.scenarios import SCENARIO_REGISTRY, get_scenario
 from ..sweep.cache import SweepCache
 from ..sweep.engine import run_sweep
-from ..sweep.evaluators import serving_metrics_from_result
-from ..sweep.spec import SweepSpec
-from .report import format_percent, render_table
+from ..sweep.spec import Scalar, SweepSpec
+from .report import Column, Table
 
 __all__ = [
-    "ServingComparisonRow",
-    "ServingComparisonResult",
     "serving_comparison",
-    "PrefixCacheComparisonRow",
-    "PrefixCacheComparisonResult",
     "prefix_cache_comparison",
-    "TenantQoSRow",
-    "TenantQoSResult",
     "tenant_qos_comparison",
 ]
 
@@ -53,97 +45,69 @@ TENANT_SCENARIOS = (
 )
 
 
-@dataclass(frozen=True)
-class ServingComparisonRow:
-    scenario: str
-    mode: str
-    model: str
-    num_gpus: int
-    metrics: ServingMetrics
-    preemptions: int
+def _scenario_rows(
+    name: str,
+    scenarios: Sequence[str],
+    axis: Dict[str, Sequence[Scalar]],
+    base: Dict[str, Scalar],
+    workers: int,
+    cache: Optional[SweepCache],
+) -> List[Dict[str, Scalar]]:
+    """Simulate every scenario under every ``axis`` value; one row per point.
+
+    A row is the ``serving-scenario`` evaluator's metrics merged with the
+    point that produced them (scenario, axis value, seed, ...).
+    """
+    for scenario in scenarios:
+        get_scenario(scenario)  # fail fast with the list of valid names
+    spec = SweepSpec.make(
+        name=name,
+        evaluator="serving-scenario",
+        axes={"scenario": tuple(scenarios), **axis},
+        base=base,
+    )
+    sweep = run_sweep(spec, workers=workers, cache=cache)
+    return [{**result, **point} for point, result in sweep]
 
 
-@dataclass
-class ServingComparisonResult:
-    seed: int
-    rows: List[ServingComparisonRow] = field(default_factory=list)
-
-    def to_text(self) -> str:
-        return render_table(
-            [
-                "scenario",
-                "mode",
-                "TTFT p50",
-                "TTFT p99",
-                "TPOT p50",
-                "goodput",
-                "KV util",
-                "preempt",
-            ],
-            [
-                (
-                    row.scenario,
-                    row.mode,
-                    f"{row.metrics.ttft_p50:.2f} s",
-                    f"{row.metrics.ttft_p99:.2f} s",
-                    f"{row.metrics.tpot_p50 * 1e3:.1f} ms",
-                    format_percent(row.metrics.goodput_fraction),
-                    format_percent(row.metrics.kv_utilization_mean),
-                    row.preemptions,
-                )
-                for row in self.rows
-            ],
-            title=f"Serving — colocated vs disaggregated (seed {self.seed})",
-        )
+def _petaflops(key: str):
+    return lambda row: f"{row[key] / 1e15:.2f}"
 
 
-@dataclass(frozen=True)
-class PrefixCacheComparisonRow:
-    scenario: str
-    prefix_caching: bool
-    ttft_p50: float
-    ttft_p99: float
-    goodput_fraction: float
-    prefix_hit_rate: float
-    prefill_flops_executed: float
-    prefix_flops_saved: float
-    prefix_evictions: int
+def serving_comparison(
+    scenarios: Optional[Sequence[str]] = None,
+    seed: int = 0,
+    workers: int = 0,
+    cache: Optional[SweepCache] = None,
+) -> Table:
+    """Simulate every (scenario, deployment) pair and tabulate the results.
 
-
-@dataclass
-class PrefixCacheComparisonResult:
-    seed: int
-    rows: List[PrefixCacheComparisonRow] = field(default_factory=list)
-
-    def to_text(self) -> str:
-        return render_table(
-            [
-                "scenario",
-                "prefix cache",
-                "TTFT p50",
-                "TTFT p99",
-                "goodput",
-                "hit rate",
-                "prefill PFLOPs",
-                "saved PFLOPs",
-                "evictions",
-            ],
-            [
-                (
-                    row.scenario,
-                    "on" if row.prefix_caching else "off",
-                    f"{row.ttft_p50:.3f} s",
-                    f"{row.ttft_p99:.3f} s",
-                    format_percent(row.goodput_fraction),
-                    format_percent(row.prefix_hit_rate),
-                    f"{row.prefill_flops_executed / 1e15:.2f}",
-                    f"{row.prefix_flops_saved / 1e15:.2f}",
-                    row.prefix_evictions,
-                )
-                for row in self.rows
-            ],
-            title=f"Shared-prefix KV caching — on vs off (seed {self.seed})",
-        )
+    Runs as a sweep over (scenario, mode): ``workers > 1`` simulates the
+    pairs in parallel processes and ``cache`` memoizes per-pair metrics
+    (see :mod:`repro.sweep`).
+    """
+    names = list(scenarios) if scenarios is not None else sorted(SCENARIO_REGISTRY)
+    return Table(
+        title=f"Serving — colocated vs disaggregated (seed {seed})",
+        columns=(
+            Column("scenario", "scenario"),
+            Column("mode", "mode"),
+            Column("TTFT p50", "ttft_p50", "{:.2f} s"),
+            Column("TTFT p99", "ttft_p99", "{:.2f} s"),
+            Column("TPOT p50", "tpot_p50", lambda r: f"{r['tpot_p50'] * 1e3:.1f} ms"),
+            Column("goodput", "goodput_fraction", "{:.1%}"),
+            Column("KV util", "kv_utilization_mean", "{:.1%}"),
+            Column("preempt", "preemptions"),
+        ),
+        rows=_scenario_rows(
+            "serving-comparison",
+            names,
+            {"mode": ("colocated", "disaggregated")},
+            {"seed": seed},
+            workers,
+            cache,
+        ),
+    )
 
 
 def prefix_cache_comparison(
@@ -151,7 +115,7 @@ def prefix_cache_comparison(
     seed: int = 0,
     workers: int = 0,
     cache: Optional[SweepCache] = None,
-) -> PrefixCacheComparisonResult:
+) -> Table:
     """A/B every shared-prefix scenario with prefix caching on and off.
 
     The colocated deployment is simulated twice per scenario — identical
@@ -164,87 +128,33 @@ def prefix_cache_comparison(
         if scenarios is not None
         else ["shared-system-prompt", "rag-shared-corpus", "agentic-prefix-tree"]
     )
-    for name in names:
-        get_scenario(name)  # fail fast with the list of valid names
-    spec = SweepSpec.make(
-        name="prefix-cache-comparison",
-        evaluator="serving-scenario",
-        axes={"scenario": tuple(names), "prefix_caching": (False, True)},
-        base={"seed": seed, "mode": "colocated"},
+    return Table(
+        title=f"Shared-prefix KV caching — on vs off (seed {seed})",
+        columns=(
+            Column("scenario", "scenario"),
+            Column("prefix cache", "prefix_caching", lambda r: ("off", "on")[r["prefix_caching"]]),
+            Column("TTFT p50", "ttft_p50", "{:.3f} s"),
+            Column("TTFT p99", "ttft_p99", "{:.3f} s"),
+            Column("goodput", "goodput_fraction", "{:.1%}"),
+            Column("hit rate", "prefix_hit_rate", "{:.1%}"),
+            Column("prefill PFLOPs", "prefill_flops_executed", _petaflops("prefill_flops_executed")),
+            Column("saved PFLOPs", "prefix_flops_saved", _petaflops("prefix_flops_saved")),
+            Column("evictions", "prefix_evictions"),
+        ),
+        rows=_scenario_rows(
+            "prefix-cache-comparison",
+            names,
+            {"prefix_caching": (False, True)},
+            {"seed": seed, "mode": "colocated"},
+            workers,
+            cache,
+        ),
     )
-    sweep = run_sweep(spec, workers=workers, cache=cache)
-    result = PrefixCacheComparisonResult(seed=seed)
-    for point, row in sweep:
-        result.rows.append(
-            PrefixCacheComparisonRow(
-                scenario=str(point["scenario"]),
-                prefix_caching=bool(point["prefix_caching"]),
-                ttft_p50=float(row["ttft_p50"]),
-                ttft_p99=float(row["ttft_p99"]),
-                goodput_fraction=float(row["goodput_fraction"]),
-                prefix_hit_rate=float(row["prefix_hit_rate"]),
-                prefill_flops_executed=float(row["prefill_flops_executed"]),
-                prefix_flops_saved=float(row["prefix_flops_saved"]),
-                prefix_evictions=int(row["prefix_evictions"]),
-            )
-        )
-    return result
 
 
-@dataclass(frozen=True)
-class TenantQoSRow:
-    scenario: str
-    policy: str
-    tenant: str
-    num_requests: int
-    ttft_p50: float
-    ttft_p99: float
-    tpot_p99: float
-    slo_ttft: float
-    goodput_fraction: float
-    goodput_rps: float
-
-    @property
-    def ttft_within_slo(self) -> bool:
-        return self.ttft_p99 <= self.slo_ttft
-
-
-@dataclass
-class TenantQoSResult:
-    seed: int
-    rows: List[TenantQoSRow] = field(default_factory=list)
-
-    def to_text(self) -> str:
-        return render_table(
-            [
-                "scenario",
-                "policy",
-                "tenant",
-                "requests",
-                "TTFT p50",
-                "TTFT p99",
-                "TTFT SLO",
-                "TPOT p99",
-                "attainment",
-                "goodput req/s",
-            ],
-            [
-                (
-                    row.scenario,
-                    row.policy,
-                    row.tenant,
-                    row.num_requests,
-                    f"{row.ttft_p50:.3f} s",
-                    f"{row.ttft_p99:.3f} s",
-                    ("ok" if row.ttft_within_slo else "MISS") + f" ({row.slo_ttft:g} s)",
-                    f"{row.tpot_p99 * 1e3:.1f} ms",
-                    format_percent(row.goodput_fraction),
-                    f"{row.goodput_rps:.3f}",
-                )
-                for row in self.rows
-            ],
-            title=f"Per-tenant QoS — FCFS vs fair scheduling (seed {self.seed})",
-        )
+def _slo_verdict(row: Dict[str, Scalar]) -> str:
+    verdict = "ok" if row["ttft_p99"] <= row["slo_ttft"] else "MISS"
+    return f"{verdict} ({row['slo_ttft']:g} s)"
 
 
 def tenant_qos_comparison(
@@ -252,7 +162,7 @@ def tenant_qos_comparison(
     seed: int = 0,
     workers: int = 0,
     cache: Optional[SweepCache] = None,
-) -> TenantQoSResult:
+) -> Table:
     """A/B every tenant-tagged scenario under FCFS and fair scheduling.
 
     The colocated deployment is simulated twice per scenario — identical
@@ -263,72 +173,38 @@ def tenant_qos_comparison(
     stays inside while the batch tenant keeps backfilling.
     """
     names = list(scenarios) if scenarios is not None else list(TENANT_SCENARIOS)
-    for name in names:
-        get_scenario(name)  # fail fast with the list of valid names
-    spec = SweepSpec.make(
-        name="tenant-qos-comparison",
-        evaluator="serving-scenario",
-        axes={"scenario": tuple(names), "policy": ("fcfs", "fair")},
-        base={"seed": seed, "mode": "colocated"},
-    )
-    sweep = run_sweep(spec, workers=workers, cache=cache)
-    result = TenantQoSResult(seed=seed)
-    for point, row in sweep:
-        tenants = sorted(
-            {key.split(".", 2)[1] for key in row if key.startswith("tenant.")}
-        )
+    rows = []
+    for merged in _scenario_rows(
+        "tenant-qos-comparison",
+        names,
+        {"policy": ("fcfs", "fair")},
+        {"seed": seed, "mode": "colocated"},
+        workers,
+        cache,
+    ):
+        tenants = sorted({key.split(".", 2)[1] for key in merged if key.startswith("tenant.")})
         for tenant in tenants:
             prefix = f"tenant.{tenant}."
-            result.rows.append(
-                TenantQoSRow(
-                    scenario=str(point["scenario"]),
-                    policy=str(point["policy"]),
-                    tenant=tenant,
-                    num_requests=int(row[prefix + "num_requests"]),
-                    ttft_p50=float(row[prefix + "ttft_p50"]),
-                    ttft_p99=float(row[prefix + "ttft_p99"]),
-                    tpot_p99=float(row[prefix + "tpot_p99"]),
-                    slo_ttft=float(row[prefix + "slo_ttft"]),
-                    goodput_fraction=float(row[prefix + "goodput_fraction"]),
-                    goodput_rps=float(row[prefix + "goodput_rps"]),
-                )
+            row = {"scenario": merged["scenario"], "policy": merged["policy"], "tenant": tenant}
+            row.update(
+                (key[len(prefix):], value)
+                for key, value in merged.items()
+                if key.startswith(prefix)
             )
-    return result
-
-
-def serving_comparison(
-    scenarios: Optional[Sequence[str]] = None,
-    seed: int = 0,
-    workers: int = 0,
-    cache: Optional[SweepCache] = None,
-) -> ServingComparisonResult:
-    """Simulate every (scenario, deployment) pair and tabulate the results.
-
-    Runs as a sweep over (scenario, mode): ``workers > 1`` simulates the
-    pairs in parallel processes and ``cache`` memoizes per-pair metrics
-    (see :mod:`repro.sweep`).
-    """
-    names = list(scenarios) if scenarios is not None else sorted(SCENARIO_REGISTRY)
-    for name in names:
-        get_scenario(name)  # fail fast with the list of valid names
-    spec = SweepSpec.make(
-        name="serving-comparison",
-        evaluator="serving-scenario",
-        axes={"scenario": tuple(names), "mode": ("colocated", "disaggregated")},
-        base={"seed": seed},
+            rows.append(row)
+    return Table(
+        title=f"Per-tenant QoS — FCFS vs fair scheduling (seed {seed})",
+        columns=(
+            Column("scenario", "scenario"),
+            Column("policy", "policy"),
+            Column("tenant", "tenant"),
+            Column("requests", "num_requests"),
+            Column("TTFT p50", "ttft_p50", "{:.3f} s"),
+            Column("TTFT p99", "ttft_p99", "{:.3f} s"),
+            Column("TTFT SLO", "slo_ttft", _slo_verdict),
+            Column("TPOT p99", "tpot_p99", lambda r: f"{r['tpot_p99'] * 1e3:.1f} ms"),
+            Column("attainment", "goodput_fraction", "{:.1%}"),
+            Column("goodput req/s", "goodput_rps", "{:.3f}"),
+        ),
+        rows=rows,
     )
-    sweep = run_sweep(spec, workers=workers, cache=cache)
-    result = ServingComparisonResult(seed=seed)
-    for point, row in sweep:
-        scenario = get_scenario(str(point["scenario"]))
-        result.rows.append(
-            ServingComparisonRow(
-                scenario=scenario.name,
-                mode=str(point["mode"]),
-                model=scenario.model,
-                num_gpus=scenario.num_gpus,
-                metrics=serving_metrics_from_result(row),
-                preemptions=int(row["preemptions"]),
-            )
-        )
-    return result

@@ -3,6 +3,9 @@
 * Table 2 — the closed-form comparison of pipeline schemes;
 * Table 3 — the model specifications (parameter counts);
 * Table 4 — ultra-long-context training with activation offloading.
+
+Each generator returns a :class:`~repro.analysis.report.Table`, like the
+figure generators in :mod:`repro.analysis.figures`.
 """
 
 from __future__ import annotations
@@ -27,15 +30,12 @@ from ..schedules.formulas import (
     bubble_fraction_estimate,
 )
 from ..systems import SlimPipeSystem, SystemEstimate
-from .report import render_table
+from .report import Column, Table
 
 __all__ = [
-    "Table2Row",
     "table2_scheme_comparison",
-    "Table3Row",
     "table3_model_specifications",
     "Table4Config",
-    "Table4Row",
     "PAPER_TABLE4_CONFIGS",
     "table4_ultra_long_context",
 ]
@@ -44,13 +44,6 @@ __all__ = [
 # ===========================================================================
 # Table 2
 # ===========================================================================
-@dataclass(frozen=True)
-class Table2Row:
-    scheme: str
-    activation_memory_factor: float
-    bubble_fraction: float
-
-
 def table2_scheme_comparison(
     pipeline_parallel_size: int = 8,
     num_microbatches: int = 8,
@@ -58,53 +51,42 @@ def table2_scheme_comparison(
     virtual_stages: int = 2,
     attention_share: float = 0.5,
     schemes: Sequence[str] = None,
-) -> List[Table2Row]:
+) -> Table:
     """Evaluate the Table 2 closed forms at a concrete operating point."""
     names = list(schemes) if schemes is not None else available_schemes()
     n = num_slices or 4 * pipeline_parallel_size
-    rows = []
-    for scheme in names:
-        rows.append(
-            Table2Row(
-                scheme=scheme,
-                activation_memory_factor=activation_memory_factor(
-                    scheme, pipeline_parallel_size, num_microbatches, n, virtual_stages
-                ),
-                bubble_fraction=bubble_fraction_estimate(
-                    scheme,
-                    pipeline_parallel_size,
-                    num_microbatches,
-                    n,
-                    virtual_stages,
-                    attention_share,
-                ),
-            )
-        )
-    return rows
-
-
-def render_table2(rows: List[Table2Row]) -> str:
-    return render_table(
-        ["scheme", "activation memory (x M_a)", "bubble fraction"],
-        [(r.scheme, f"{r.activation_memory_factor:.3f}", f"{r.bubble_fraction:.3f}") for r in rows],
+    rows = [
+        {
+            "scheme": scheme,
+            "activation_memory_factor": activation_memory_factor(
+                scheme, pipeline_parallel_size, num_microbatches, n, virtual_stages
+            ),
+            "bubble_fraction": bubble_fraction_estimate(
+                scheme,
+                pipeline_parallel_size,
+                num_microbatches,
+                n,
+                virtual_stages,
+                attention_share,
+            ),
+        }
+        for scheme in names
+    ]
+    return Table(
         title="Table 2 — pipeline scheme comparison",
+        columns=(
+            Column("scheme", "scheme"),
+            Column("activation memory (x M_a)", "activation_memory_factor", "{:.3f}"),
+            Column("bubble fraction", "bubble_fraction", "{:.3f}"),
+        ),
+        rows=rows,
+        golden=(("{scheme}.{}", ("activation_memory_factor", "bubble_fraction")),),
     )
 
 
 # ===========================================================================
 # Table 3
 # ===========================================================================
-@dataclass(frozen=True)
-class Table3Row:
-    model: str
-    num_layers: int
-    num_heads: int
-    num_groups: Optional[int]
-    hidden_size: int
-    ffn_size: int
-    params_billions: float
-
-
 def table3_model_specifications(
     models: Sequence[ModelConfig] = (
         LLAMA_13B,
@@ -113,20 +95,33 @@ def table3_model_specifications(
         MIXTRAL_8X7B,
         MIXTRAL_8X22B,
     ),
-) -> List[Table3Row]:
+) -> Table:
     """The Table 3 model zoo with parameter counts derived from the configs."""
-    return [
-        Table3Row(
-            model=m.name,
-            num_layers=m.num_layers,
-            num_heads=m.num_attention_heads,
-            num_groups=m.num_query_groups,
-            hidden_size=m.hidden_size,
-            ffn_size=m.ffn_hidden_size,
-            params_billions=m.total_params() / 1e9,
-        )
-        for m in models
-    ]
+    return Table(
+        title="Table 3 — models used in evaluation",
+        columns=(
+            Column("model", "model"),
+            Column("L", "num_layers"),
+            Column("a", "num_heads"),
+            Column("g", "num_groups", lambda r: str(r["num_groups"] or "-")),
+            Column("h", "hidden_size"),
+            Column("H", "ffn_size"),
+            Column("params (B)", "params_billions", "{:.1f}"),
+        ),
+        rows=[
+            {
+                "model": m.name,
+                "num_layers": m.num_layers,
+                "num_heads": m.num_attention_heads,
+                "num_groups": m.num_query_groups,
+                "hidden_size": m.hidden_size,
+                "ffn_size": m.ffn_hidden_size,
+                "params_billions": m.total_params() / 1e9,
+            }
+            for m in models
+        ],
+        golden=(("{model}.{}", ("params_billions",)),),
+    )
 
 
 # ===========================================================================
@@ -157,22 +152,10 @@ PAPER_TABLE4_CONFIGS: List[Table4Config] = [
 ]
 
 
-@dataclass(frozen=True)
-class Table4Row:
-    model: str
-    context_k: int
-    feasible: bool
-    offload_ratio: float
-    mfu: float
-    paper_offload_ratio: float
-    paper_mfu: float
-    peak_memory_gib: float
-
-
 def table4_ultra_long_context(
     configs: Sequence[Table4Config] = tuple(PAPER_TABLE4_CONFIGS),
     tokens_per_iteration: int = 16 * 1024 * 1024,
-) -> List[Table4Row]:
+) -> Table:
     """Evaluate SlimPipe + offloading at the paper's Table 4 operating points.
 
     As in Section 6.5, selective checkpointing is enabled uniformly and the
@@ -180,7 +163,7 @@ def table4_ultra_long_context(
     """
     from ..model.memory import RecomputeMode
 
-    rows: List[Table4Row] = []
+    rows = []
     for cfg in configs:
         seq = tokens_from_k(cfg.context_k)
         gpus = (
@@ -206,32 +189,38 @@ def table4_ultra_long_context(
         system.recompute_ladder = (RecomputeMode.SELECTIVE,)
         estimate: SystemEstimate = system.evaluate(cfg.model, cluster, workload, parallel)
         rows.append(
-            Table4Row(
-                model=cfg.model.name,
-                context_k=cfg.context_k,
-                feasible=estimate.feasible,
-                offload_ratio=float(estimate.details.get("offload_ratio", 0.0)),
-                mfu=estimate.mfu,
-                paper_offload_ratio=cfg.paper_offload_ratio,
-                paper_mfu=cfg.paper_mfu,
-                peak_memory_gib=estimate.peak_memory_bytes / GIB,
-            )
+            {
+                "model": cfg.model.name,
+                "context_k": cfg.context_k,
+                "feasible": estimate.feasible,
+                "offload_ratio": float(estimate.details.get("offload_ratio", 0.0)),
+                "mfu": estimate.mfu,
+                "paper_offload_ratio": cfg.paper_offload_ratio,
+                "paper_mfu": cfg.paper_mfu,
+                "peak_memory_gib": estimate.peak_memory_bytes / GIB,
+            }
         )
-    return rows
-
-
-def render_table4(rows: Sequence[Table4Row]) -> str:
-    return render_table(
-        ["model", "context", "offload (ours/paper)", "MFU (ours/paper)", "peak mem (GiB)"],
-        [
-            (
-                r.model,
-                f"{r.context_k}K",
-                f"{r.offload_ratio:.0%} / {r.paper_offload_ratio:.0%}",
-                (f"{r.mfu * 100:.1f}% / {r.paper_mfu * 100:.1f}%" if r.feasible else "OOM"),
-                f"{r.peak_memory_gib:.1f}",
-            )
-            for r in rows
-        ],
+    return Table(
         title="Table 4 — ultra-long-context training with activation offloading",
+        columns=(
+            Column("model", "model"),
+            Column("context", "context_k", "{}K"),
+            Column(
+                "offload (ours/paper)",
+                "offload_ratio",
+                lambda r: f"{r['offload_ratio']:.0%} / {r['paper_offload_ratio']:.0%}",
+            ),
+            Column(
+                "MFU (ours/paper)",
+                "mfu",
+                lambda r: (
+                    f"{r['mfu'] * 100:.1f}% / {r['paper_mfu'] * 100:.1f}%"
+                    if r["feasible"]
+                    else "OOM"
+                ),
+            ),
+            Column("peak mem (GiB)", "peak_memory_gib", "{:.1f}"),
+        ),
+        rows=rows,
+        golden=(("{model}.c{context_k}k.{}", ("feasible", "offload_ratio", "mfu")),),
     )

@@ -67,11 +67,12 @@ Seven subcommands cover the library's main workflows without writing Python:
     rate autoscaler's effective-capacity signal come with it).
 
 ``experiments``
-    Regenerate a chosen paper experiment's data table (Figures 1-3, 6-14 and
+    Regenerate a chosen paper experiment's data table (Figures 1-14 and
     Tables 2-4), the serving comparison, the fleet routing comparison, the
     prefix-cache on/off comparison (``experiments prefix-cache``), the
     per-tenant FCFS-vs-fair QoS comparison (``experiments tenant-qos``), or
-    a registered sweep, directly from the analysis layer.
+    the scheme-context sweep; names and ``--list`` come from the experiment
+    registry, ``repro.analysis.EXPERIMENTS``.
 
 ``obs``
     Offline analysis of a saved event stream: ``obs explain events.jsonl``
@@ -98,9 +99,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from .analysis import figures, tables
+from .analysis.experiments import EXPERIMENTS
 from .analysis.observability import (
     anomaly_table,
     attribution_table,
@@ -595,7 +596,7 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
 
     spec = get_sweep_spec(args.name)
     result = run_sweep(spec, workers=args.workers, cache=_sweep_cache(args))
-    print(result.to_text())
+    print(result.table().to_text())
     return 0
 
 
@@ -679,83 +680,20 @@ def _cmd_obs_explain(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
-def _experiment_registry() -> Dict[str, Callable[[], str]]:
-    def _serving_comparison() -> str:
-        from .analysis.serving import serving_comparison
-
-        return serving_comparison(scenarios=("chat", "bursty-long")).to_text()
-
-    def _sweep_experiment() -> str:
-        from .sweep import get_sweep_spec, run_sweep
-
-        return run_sweep(get_sweep_spec("scheme-context")).to_text()
-
-    def _fleet_comparison() -> str:
-        from .analysis.fleet import fleet_comparison
-
-        return fleet_comparison(
-            scenarios=("canary-chat", "unreliable"),
-            routers=("round-robin", "least-tokens"),
-        ).to_text()
-
-    def _prefix_cache_comparison() -> str:
-        from .analysis.serving import prefix_cache_comparison
-
-        return prefix_cache_comparison().to_text()
-
-    def _tenant_qos_comparison() -> str:
-        from .analysis.serving import tenant_qos_comparison
-
-        return tenant_qos_comparison().to_text()
-
-    return {
-        "serving": _serving_comparison,
-        "sweep": _sweep_experiment,
-        "fleet": _fleet_comparison,
-        "prefix-cache": _prefix_cache_comparison,
-        "tenant-qos": _tenant_qos_comparison,
-        "fig1": lambda: figures.figure1_memory_footprint().to_text(),
-        "fig2": lambda: figures.figure2_max_context().to_text(),
-        "fig3": lambda: figures.figure3_bubble_fractions().to_text(),
-        "fig4": lambda: figures.figure4_schedule_structure().to_text(),
-        "fig5": lambda: figures.figure5_interleaved_schedule().to_text(),
-        "fig6": lambda: figures.figure6_slices_sweep().to_text(),
-        "fig7": lambda: figures.figure7_imbalance_bubbles().to_text(),
-        "fig8": lambda: figures.figure8_context_exchange_plan().to_text(),
-        "fig9": lambda: figures.figure9_vocab_parallel_bubble().to_text(),
-        "fig10": lambda: figures.figure10_memory_scaling().to_text(),
-        "fig11": lambda: figures.figure11_mfu_vs_slices().to_text(),
-        "fig12": lambda: figures.figure12_end_to_end().to_text(),
-        "fig13": lambda: figures.figure13_scheme_mfu().to_text(),
-        "fig14": lambda: figures.figure14_scheme_memory().to_text(),
-        "tab2": lambda: tables.render_table2(tables.table2_scheme_comparison()),
-        "tab3": lambda: render_table(
-            ["model", "L", "a", "g", "h", "H", "params (B)"],
-            [
-                (r.model, r.num_layers, r.num_heads, r.num_groups or "-", r.hidden_size, r.ffn_size, f"{r.params_billions:.1f}")
-                for r in tables.table3_model_specifications()
-            ],
-            title="Table 3 — models used in evaluation",
-        ),
-        "tab4": lambda: tables.render_table4(tables.table4_ultra_long_context()),
-    }
-
-
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    registry = _experiment_registry()
     if args.list:
-        print("available experiments:", ", ".join(sorted(registry)))
+        print("available experiments:", ", ".join(sorted(EXPERIMENTS)))
         return 0
     names: List[str] = args.names or []
     if not names:
         print("nothing to do: pass experiment names (e.g. fig2 tab4) or --list", file=sys.stderr)
         return 2
-    unknown = [name for name in names if name not in registry]
+    unknown = [name for name in names if name not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiments: {unknown}; use --list", file=sys.stderr)
         return 2
     for name in names:
-        print(registry[name]())
+        print(EXPERIMENTS[name].generate().to_text())
     return 0
 
 

@@ -111,13 +111,6 @@ class FleetView:
         """Replicas already paid for: active plus still-provisioning."""
         return self.active_replicas + self.provisioning_replicas
 
-    def tenant_queue_depth(self, tenant: str) -> int:
-        """Fleet-wide waiting count for one tenant (0 when absent)."""
-        for name, depth in self.tenant_queue_depths:
-            if name == tenant:
-                return depth
-        return 0
-
 
 class Autoscaler:
     """Base policy: map a :class:`FleetView` to a desired fleet size."""

@@ -84,13 +84,6 @@ class ReplicaSnapshot:
     #: ignore it behave exactly as before tenancy existed.
     tenant_queue_depths: Tuple[Tuple[str, int], ...] = ()
 
-    def tenant_queue_depth(self, tenant: str) -> int:
-        """This replica's waiting count for one tenant (0 when absent)."""
-        for name, depth in self.tenant_queue_depths:
-            if name == tenant:
-                return depth
-        return 0
-
 
 class Router:
     """Base class: route one request to one of the offered replicas.

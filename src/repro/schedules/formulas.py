@@ -30,6 +30,7 @@ __all__ = [
     "bubble_fraction_estimate",
     "slimpipe_accumulated_activation_factor",
     "available_schemes",
+    "PAPER_SCHEMES",
 ]
 
 
@@ -142,6 +143,11 @@ SCHEME_FORMULAS: Dict[str, SchemeCharacteristics] = {
         "slimpipe", _slimpipe_memory, _slimpipe_bubble, uses_slices=True, uses_virtual_stages=True
     ),
 }
+
+
+#: The pipeline schemes the paper's scheme-comparison experiments evaluate
+#: (Figures 2, 3, 13 and 14).
+PAPER_SCHEMES = ("zb-v", "v-half", "1f1b", "interleaved-1f1b", "slimpipe")
 
 
 def available_schemes() -> list[str]:

@@ -16,7 +16,9 @@ activations for ZB-V, ``p`` for V-Half, matching "same as 1F1B" and "half of
 1F1B") — which reproduces the qualitative behaviour the paper discusses:
 near-zero bubbles when the three pass types are balanced, and growing
 *imbalance bubbles* when causal attention makes ``T_b`` dominate
-(Section 2.2).  The substitution is recorded in DESIGN.md.
+(Section 2.2).  The greedy scheduler stands in for the original
+hand-crafted / ILP pass orders, so every ZB-V and V-Half number in the
+scheme-comparison experiments (Figures 2, 3, 13 and 14) is this scheduler's.
 """
 
 from __future__ import annotations

@@ -163,17 +163,6 @@ class PagedKVAllocator:
             return True
         return self.prefix is not None and self.prefix.refs_of(request_id) > 0
 
-    def can_reserve(self, request_id: Hashable, new_total_tokens: int) -> bool:
-        """Whether growing the request to ``new_total_tokens`` would fit.
-
-        Counts unreferenced shared prefix blocks as reclaimable space —
-        :meth:`reserve` evicts them on demand before giving up.
-        """
-        need = blocks_for_tokens(new_total_tokens, self.block_tokens) - self.blocks_held(
-            request_id
-        )
-        return need <= self.free_blocks + self.reclaimable_blocks
-
     # ------------------------------------------------------------------
     # Shared-prefix operations (no-ops when ``prefix_caching=False``)
     # ------------------------------------------------------------------

@@ -26,7 +26,7 @@ pins that down with digest equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..constants import UnknownNameError
 from .metrics import SLO
@@ -206,10 +206,6 @@ class TenancyConfig:
             return None
         return self.get_tenant(tenant)
 
-    def slo_for(self, tenant: Optional[str], default: SLO) -> SLO:
-        spec = self.spec_for(tenant)
-        return default if spec is None else spec.slo_class.slo
-
     def weight_for(self, tenant: Optional[str]) -> float:
         spec = self.spec_for(tenant)
         return 1.0 if spec is None else spec.weight
@@ -230,9 +226,3 @@ class TenancyConfig:
             if bucket is not None:
                 buckets[spec.name] = bucket
         return buckets
-
-    def validate_trace(self, tenants: Iterable[Optional[str]]) -> None:
-        """Fail fast if any tagged request names a tenant not in the table."""
-        for tenant in tenants:
-            if tenant is not None:
-                self.get_tenant(tenant)

@@ -49,7 +49,9 @@ bypasses memoization entirely.
 Goldens
 -------
 :mod:`repro.sweep.golden` pins the headline numbers of every figure/table
-and the serving scenarios' SLO metrics as JSON files under ``tests/goldens``;
+(one golden per entry of the experiment registry,
+``repro.analysis.EXPERIMENTS``) and the serving scenarios' SLO metrics as
+JSON files under ``tests/goldens``;
 ``pytest tests -k golden`` recomputes and diffs them within tolerance, and
 ``python -m repro.cli sweep golden --regenerate`` rewrites them after an
 intentional change.

@@ -25,10 +25,13 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from .cache import SweepCache
 from .spec import Scalar, SweepSpec, point_key
+
+if TYPE_CHECKING:
+    from ..analysis.report import Table
 
 __all__ = ["SweepStats", "SweepResult", "run_sweep", "argmax_stream"]
 
@@ -92,28 +95,28 @@ class SweepResult:
             names.update(result)
         return sorted(names)
 
-    def to_text(self) -> str:
-        from ..analysis.report import render_table
+    def table(self) -> "Table":
+        """The sweep as a :class:`~repro.analysis.report.Table`: axes, then metrics."""
+        from ..analysis.report import Column, Table
 
         def fmt(value: Scalar) -> str:
             if isinstance(value, bool) or not isinstance(value, float):
                 return str(value)
             return f"{value:.4g}"
 
-        axis_names = self.spec.axis_names
-        metrics = self.metric_names()
-        rows = [
-            tuple(fmt(point.get(a)) for a in axis_names)
-            + tuple(fmt(result.get(m, "-")) for m in metrics)
-            for point, result in self
-        ]
+        def column(name: str) -> Column:
+            return Column(name, name, lambda row: fmt(row.get(name, "-")))
+
         s = self.stats
-        title = (
-            f"sweep {self.spec.name} — {s.total} points "
-            f"({s.pruned} pruned, {s.cache_hits} cached, {s.evaluated} evaluated, "
-            f"workers={s.workers}, {s.elapsed_seconds:.2f}s)"
+        return Table(
+            title=(
+                f"sweep {self.spec.name} — {s.total} points "
+                f"({s.pruned} pruned, {s.cache_hits} cached, {s.evaluated} evaluated, "
+                f"workers={s.workers}, {s.elapsed_seconds:.2f}s)"
+            ),
+            columns=[column(name) for name in self.spec.axis_names + self.metric_names()],
+            rows=[{**result, **point} for point, result in self],
         )
-        return render_table(axis_names + metrics, rows, title=title)
 
 
 # ---------------------------------------------------------------------------

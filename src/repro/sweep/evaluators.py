@@ -37,7 +37,6 @@ __all__ = [
     "evaluate_scheme_point",
     "evaluate_serving_scenario",
     "evaluate_fleet_scenario",
-    "serving_metrics_from_result",
 ]
 
 Evaluator = Callable[[Dict[str, Scalar]], Dict[str, Scalar]]
@@ -185,10 +184,11 @@ def _prune_scheme_point(point: Dict[str, Scalar]) -> Optional[Dict[str, Scalar]]
 def evaluate_scheme_point(point: Dict[str, Scalar]) -> Dict[str, Scalar]:
     """Evaluate one pipeline scheme at one fixed operating point.
 
-    Mirrors the Section 6.6 methodology (see
-    :func:`repro.analysis.figures.scheme_context_sweep`): fixed TP/PP, full
-    checkpointing except for the zero-bubble variants, interleaving only for
-    the schemes that support it.
+    The one evaluation of a scheme point, behind the ``scheme-context``
+    sweep and Figures 13/14 (:func:`repro.analysis.figures.figure13_scheme_mfu`).
+    Mirrors the Section 6.6 methodology: fixed TP/PP, full checkpointing
+    except for the zero-bubble variants, interleaving only for the schemes
+    that support it.
     """
     scheme = str(point["scheme"])
     model = get_model_config(str(point.get("model", "llama-13b")))
@@ -364,30 +364,3 @@ def evaluate_fleet_scenario(point: Dict[str, Scalar]) -> Dict[str, Scalar]:
         "prefill_flops_executed": result.prefill_flops_executed,
         "prefix_evictions": result.prefix_evictions,
     }
-
-
-def serving_metrics_from_result(result: Dict[str, Scalar]):
-    """Rebuild a :class:`~repro.serving.metrics.ServingMetrics` from a sweep row."""
-    from ..serving.metrics import SLO, ServingMetrics
-
-    return ServingMetrics(
-        num_requests=int(result["num_requests"]),
-        duration=float(result["duration"]),
-        ttft_p50=float(result["ttft_p50"]),
-        ttft_p95=float(result["ttft_p95"]),
-        ttft_p99=float(result["ttft_p99"]),
-        tpot_p50=float(result["tpot_p50"]),
-        tpot_p95=float(result["tpot_p95"]),
-        tpot_p99=float(result["tpot_p99"]),
-        e2e_p50=float(result["e2e_p50"]),
-        e2e_p95=float(result["e2e_p95"]),
-        e2e_p99=float(result["e2e_p99"]),
-        output_tokens_per_second=float(result["output_tokens_per_second"]),
-        requests_per_second=float(result["requests_per_second"]),
-        goodput_fraction=float(result["goodput_fraction"]),
-        goodput_rps=float(result["goodput_rps"]),
-        kv_utilization_mean=float(result["kv_utilization_mean"]),
-        kv_utilization_peak=float(result["kv_utilization_peak"]),
-        preemptions=int(result["preemptions"]),
-        slo=SLO(ttft=float(result["slo_ttft"]), tpot=float(result["slo_tpot"])),
-    )

@@ -101,18 +101,6 @@ class GoldenCheck:
 GOLDEN_REGISTRY: Dict[str, GoldenDefinition] = {}
 
 
-def _register(
-    name: str, description: str = "", rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL
-):
-    def decorate(fn: Callable[[], Dict[str, Scalar]]):
-        GOLDEN_REGISTRY[name] = GoldenDefinition(
-            name=name, compute=fn, rtol=rtol, atol=atol, description=description
-        )
-        return fn
-
-    return decorate
-
-
 def available_goldens() -> List[str]:
     return sorted(GOLDEN_REGISTRY)
 
@@ -220,225 +208,31 @@ def check_golden(
 # ===========================================================================
 # Golden definitions — the paper's headline numbers
 # ===========================================================================
-# Every compute function imports the analysis layer lazily: this module is
-# imported by ``repro.sweep`` which the analysis layer itself builds on.
-@_register("fig01", "memory footprint vs PP size (Llama 70B, 64K)")
-def _golden_fig01() -> Dict[str, Scalar]:
-    from ..analysis.figures import figure1_memory_footprint
+def _register_experiment_goldens() -> None:
+    """One golden per figure/table of the experiment registry.
 
-    metrics: Dict[str, Scalar] = {}
-    for row in figure1_memory_footprint().rows:
-        prefix = f"p{row.pipeline_parallel_size}"
-        metrics[f"{prefix}.model_state_gib"] = row.model_state_gib
-        metrics[f"{prefix}.classic_activation_gib"] = row.classic_activation_gib
-        metrics[f"{prefix}.slimpipe_activation_gib"] = row.slimpipe_activation_gib
-    return metrics
+    Each pins the metrics its table's ``golden`` layout declares.  The
+    registry's figure and table modules import ``repro.sweep`` only inside
+    the generators that run sweeps, so reading it here is cycle-free.
+    """
+    from ..analysis.experiments import EXPERIMENTS
 
-
-@_register("fig02", "maximum context length per PP scheme (Llama 13B)")
-def _golden_fig02() -> Dict[str, Scalar]:
-    from ..analysis.figures import figure2_max_context
-
-    return {
-        f"{row.scheme}.max_context_k": row.max_context_k
-        for row in figure2_max_context().rows
-    }
+    for experiment in EXPERIMENTS.values():
+        if experiment.golden:
+            GOLDEN_REGISTRY[experiment.golden] = GoldenDefinition(
+                name=experiment.golden,
+                compute=experiment.golden_metrics,
+                description=experiment.description,
+            )
 
 
-@_register("fig03", "theoretical bubble fractions per scheme")
-def _golden_fig03() -> Dict[str, Scalar]:
-    from ..analysis.figures import figure3_bubble_fractions
-
-    return {
-        f"{row.scheme}.bubble_fraction": row.bubble_fraction
-        for row in figure3_bubble_fractions().rows
-    }
-
-
-def _schedule_structure_metrics(result) -> Dict[str, Scalar]:
-    metrics: Dict[str, Scalar] = {
-        "accumulated_fraction": result.accumulated_fraction_of_microbatch,
-        "total_warmup_units": sum(result.warmup_units),
-        "peak_activation_units_max": max(result.peak_activation_units),
-    }
-    for device, units in enumerate(result.warmup_units):
-        metrics[f"warmup_units.dev{device}"] = units
-    return metrics
-
-
-@_register("fig04", "SlimPipe schedule structure (p=4, m=3, n=8)")
-def _golden_fig04() -> Dict[str, Scalar]:
-    from ..analysis.figures import figure4_schedule_structure
-
-    return _schedule_structure_metrics(figure4_schedule_structure())
-
-
-@_register("fig05", "interleaved SlimPipe schedule structure (p=4, m=2, n=8, v=2)")
-def _golden_fig05() -> Dict[str, Scalar]:
-    from ..analysis.figures import figure5_interleaved_schedule
-
-    return _schedule_structure_metrics(figure5_interleaved_schedule())
-
-
-@_register("fig06", "activation memory and bubbles vs number of slices")
-def _golden_fig06() -> Dict[str, Scalar]:
-    from ..analysis.figures import figure6_slices_sweep
-
-    result = figure6_slices_sweep()
-    metrics: Dict[str, Scalar] = {}
-    for row in result.activation_rows:
-        metrics[f"activation.p{row.pipeline_parallel_size}.n{row.num_slices}"] = (
-            row.activation_fraction
-        )
-    for row in result.bubble_rows:
-        metrics[f"bubble.m{row.num_microbatches}.n{row.num_slices}"] = row.bubble_fraction
-    return metrics
-
-
-@_register("fig07", "imbalance bubbles with / without context exchange")
-def _golden_fig07() -> Dict[str, Scalar]:
-    from ..analysis.figures import figure7_imbalance_bubbles
-
-    result = figure7_imbalance_bubbles()
-    return {
-        "bubble_without_exchange": result.bubble_without_exchange,
-        "bubble_with_exchange": result.bubble_with_exchange,
-        "makespan_without_exchange": result.makespan_without_exchange,
-        "makespan_with_exchange": result.makespan_with_exchange,
-    }
-
-
-@_register("fig08", "context-exchange rebalancing plan")
-def _golden_fig08() -> Dict[str, Scalar]:
-    from ..analysis.figures import figure8_context_exchange_plan
-
-    result = figure8_context_exchange_plan()
-    return {
-        "num_transfers": result.num_transfers,
-        "max_imbalance_before": result.max_imbalance_before,
-        "max_imbalance_after": result.max_imbalance_after,
-    }
-
-
-@_register("fig09", "output-layer bubble with / without vocabulary parallelism")
-def _golden_fig09() -> Dict[str, Scalar]:
-    from ..analysis.figures import figure9_vocab_parallel_bubble
-
-    result = figure9_vocab_parallel_bubble()
-    return {
-        "makespan_last_device_gemm": result.makespan_last_device_gemm,
-        "makespan_vocab_parallel": result.makespan_vocab_parallel,
-        "bubble_last_device_gemm": result.bubble_last_device_gemm,
-        "bubble_vocab_parallel": result.bubble_vocab_parallel,
-        "speedup": result.speedup,
-    }
-
-
-@_register("fig10", "memory scaling vs PP size (32K slice of the grid)")
-def _golden_fig10() -> Dict[str, Scalar]:
-    from ..analysis.figures import figure10_memory_scaling
-
-    metrics: Dict[str, Scalar] = {}
-    # The full grid takes several seconds; the 32K column with two pipeline
-    # sizes pins the same code paths at a fraction of the cost.
-    for row in figure10_memory_scaling(sequence_ks=(32,), pipeline_sizes=(2, 4)).rows:
-        prefix = f"s{row.sequence_k}k.p{row.pipeline_parallel_size}"
-        metrics[f"{prefix}.first_device_gib"] = row.first_device_gib
-        metrics[f"{prefix}.last_device_gib"] = row.last_device_gib
-        metrics[f"{prefix}.theoretical_gib"] = row.theoretical_gib
-    return metrics
-
-
-@_register("fig11", "MFU vs number of slices")
-def _golden_fig11() -> Dict[str, Scalar]:
-    from ..analysis.figures import figure11_mfu_vs_slices
-
-    result = figure11_mfu_vs_slices()
-    metrics: Dict[str, Scalar] = {
-        f"s{row.sequence_k}k.n{row.num_slices}.mfu": row.mfu for row in result.rows
-    }
-    for seq_k in (128, 256, 512):
-        metrics[f"s{seq_k}k.best_slices"] = result.best_slices(seq_k)
-    return metrics
-
-
-@_register("fig12", "end-to-end MFU headline cells (Llama 70B, 128 GPUs)")
-def _golden_fig12() -> Dict[str, Scalar]:
-    from ..analysis.figures import figure12_end_to_end
-    from ..model.config import LLAMA_70B
-
-    result = figure12_end_to_end(
-        models=(LLAMA_70B,), gpu_counts=(128,), sequence_ks=(64, 256)
-    )
-    metrics: Dict[str, Scalar] = {}
-    for cell in result.cells:
-        prefix = f"s{cell.sequence_k}k.{cell.system}"
-        metrics[f"{prefix}.feasible"] = cell.feasible
-        metrics[f"{prefix}.mfu"] = cell.mfu
-    for seq_k in (64, 256):
-        speedup = result.speedup_over_megatron("llama-70b", 128, seq_k)
-        metrics[f"s{seq_k}k.speedup_over_megatron"] = speedup
-    return metrics
-
-
-def _scheme_sweep_metrics(attr: str) -> Dict[str, Scalar]:
-    from ..analysis.figures import scheme_context_sweep
-
-    metrics: Dict[str, Scalar] = {}
-    for row in scheme_context_sweep(sequence_ks=(64, 256)).rows:
-        prefix = f"{row.scheme}.s{row.sequence_k}k"
-        metrics[f"{prefix}.feasible"] = row.feasible
-        metrics[f"{prefix}.{attr}"] = getattr(row, attr)
-    return metrics
-
-
-@_register("fig13", "scheme MFU across context lengths")
-def _golden_fig13() -> Dict[str, Scalar]:
-    return _scheme_sweep_metrics("mfu")
-
-
-@_register("fig14", "scheme peak memory across context lengths")
-def _golden_fig14() -> Dict[str, Scalar]:
-    return _scheme_sweep_metrics("peak_memory_gib")
-
-
-@_register("tab02", "closed-form scheme comparison at the Table 2 point")
-def _golden_tab02() -> Dict[str, Scalar]:
-    from ..analysis.tables import table2_scheme_comparison
-
-    metrics: Dict[str, Scalar] = {}
-    for row in table2_scheme_comparison():
-        metrics[f"{row.scheme}.activation_memory_factor"] = row.activation_memory_factor
-        metrics[f"{row.scheme}.bubble_fraction"] = row.bubble_fraction
-    return metrics
-
-
-@_register("tab03", "model parameter counts (Table 3)")
-def _golden_tab03() -> Dict[str, Scalar]:
-    from ..analysis.tables import table3_model_specifications
-
-    return {
-        f"{row.model}.params_billions": row.params_billions
-        for row in table3_model_specifications()
-    }
-
-
-@_register("tab04", "ultra-long-context offloading (Table 4)")
-def _golden_tab04() -> Dict[str, Scalar]:
-    from ..analysis.tables import table4_ultra_long_context
-
-    metrics: Dict[str, Scalar] = {}
-    for row in table4_ultra_long_context():
-        prefix = f"{row.model}.c{row.context_k}k"
-        metrics[f"{prefix}.feasible"] = row.feasible
-        metrics[f"{prefix}.offload_ratio"] = row.offload_ratio
-        metrics[f"{prefix}.mfu"] = row.mfu
-    return metrics
+_register_experiment_goldens()
 
 
 # ---------------------------------------------------------------------------
-# Serving scenarios: TTFT / TPOT / goodput under both deployments, generated
-# through the sweep engine itself (no cache — goldens must recompute).
+# Serving and fleet scenarios: each golden is a two-point sweep of one
+# scenario through the sweep engine itself (no cache — goldens must
+# recompute), its metrics keyed ``<point label>.<metric>``.
 # ---------------------------------------------------------------------------
 _SERVING_GOLDEN_METRICS = (
     "ttft_p50",
@@ -451,96 +245,8 @@ _SERVING_GOLDEN_METRICS = (
     "preemptions",
 )
 
-
-def _serving_golden(scenario: str) -> Dict[str, Scalar]:
-    from .engine import run_sweep
-    from .spec import SweepSpec
-
-    spec = SweepSpec.make(
-        name=f"golden-serving-{scenario}",
-        evaluator="serving-scenario",
-        axes={"mode": ("colocated", "disaggregated")},
-        base={"scenario": scenario, "seed": 0},
-    )
-    result = run_sweep(spec)
-    metrics: Dict[str, Scalar] = {}
-    for point, row in result:
-        for key in _SERVING_GOLDEN_METRICS:
-            metrics[f"{point['mode']}.{key}"] = row[key]
-    return metrics
-
-
-def _register_serving_goldens() -> None:
-    for scenario in (
-        "chat",
-        "rag-long-prompt",
-        "summarize-512k",
-        "bursty-long",
-        "mixed-fleet",
-        "shared-system-prompt",
-        "rag-shared-corpus",
-        "agentic-prefix-tree",
-    ):
-        GOLDEN_REGISTRY[f"serving-{scenario}"] = GoldenDefinition(
-            name=f"serving-{scenario}",
-            compute=(lambda s: (lambda: _serving_golden(s)))(scenario),
-            description=f"TTFT/TPOT/goodput of the {scenario!r} scenario, both deployments",
-        )
-
-
-_register_serving_goldens()
-
-
-# ---------------------------------------------------------------------------
-# Multi-tenant scenarios: global SLO metrics plus every per-tenant QoS key
-# (``tenant.<name>.<metric>``) under both deployments.  Pinning the tenant
-# keys makes fair-scheduler and admission-control drift visible per tenant,
-# not just in the blended aggregate.
-# ---------------------------------------------------------------------------
-def _tenant_golden(scenario: str) -> Dict[str, Scalar]:
-    from .engine import run_sweep
-    from .spec import SweepSpec
-
-    spec = SweepSpec.make(
-        name=f"golden-tenant-{scenario}",
-        evaluator="serving-scenario",
-        axes={"mode": ("colocated", "disaggregated")},
-        base={"scenario": scenario, "seed": 0},
-    )
-    result = run_sweep(spec)
-    metrics: Dict[str, Scalar] = {}
-    for point, row in result:
-        for key in _SERVING_GOLDEN_METRICS:
-            metrics[f"{point['mode']}.{key}"] = row[key]
-        for key in sorted(row):
-            if key.startswith("tenant."):
-                metrics[f"{point['mode']}.{key}"] = row[key]
-    return metrics
-
-
-def _register_tenant_goldens() -> None:
-    for scenario in (
-        "noisy-neighbour",
-        "tenant-flash-crowd",
-        "batch-backfill-under-interactive",
-    ):
-        GOLDEN_REGISTRY[f"tenant-{scenario}"] = GoldenDefinition(
-            name=f"tenant-{scenario}",
-            compute=(lambda s: (lambda: _tenant_golden(s)))(scenario),
-            description=(
-                f"per-tenant TTFT/TPOT/goodput of the {scenario!r} scenario "
-                "under fair scheduling, both deployments"
-            ),
-        )
-
-
-_register_tenant_goldens()
-
-
-# ---------------------------------------------------------------------------
-# Prefix caching A/B: the acceptance evidence that shared-prefix KV caching
-# buys >= 2x median TTFT and >= 2x prefill FLOPs on shared-prompt traffic.
-# ---------------------------------------------------------------------------
+#: The prefix-caching A/B: the acceptance evidence that shared-prefix KV
+#: caching buys >= 2x median TTFT and >= 2x prefill FLOPs on shared prompts.
 _PREFIX_AB_METRICS = (
     "ttft_p50",
     "ttft_p99",
@@ -554,45 +260,6 @@ _PREFIX_AB_METRICS = (
     "preemptions",
 )
 
-
-def _prefix_ab_golden(scenario: str) -> Dict[str, Scalar]:
-    from .engine import run_sweep
-    from .spec import SweepSpec
-
-    spec = SweepSpec.make(
-        name=f"golden-prefix-ab-{scenario}",
-        evaluator="serving-scenario",
-        axes={"prefix_caching": (False, True)},
-        base={"scenario": scenario, "mode": "colocated", "seed": 0},
-    )
-    result = run_sweep(spec)
-    metrics: Dict[str, Scalar] = {}
-    for point, row in result:
-        label = "cached" if point["prefix_caching"] else "uncached"
-        for key in _PREFIX_AB_METRICS:
-            metrics[f"{label}.{key}"] = row[key]
-    return metrics
-
-
-def _register_prefix_ab_goldens() -> None:
-    for scenario in ("shared-system-prompt", "rag-shared-corpus", "agentic-prefix-tree"):
-        GOLDEN_REGISTRY[f"prefix-ab-{scenario}"] = GoldenDefinition(
-            name=f"prefix-ab-{scenario}",
-            compute=(lambda s: (lambda: _prefix_ab_golden(s)))(scenario),
-            description=(
-                f"prefix caching on/off A/B of the {scenario!r} scenario "
-                "(TTFT, hit rate, prefill FLOPs executed/saved)"
-            ),
-        )
-
-
-_register_prefix_ab_goldens()
-
-
-# ---------------------------------------------------------------------------
-# Fleet scenarios: routing-policy comparison headline numbers, generated
-# through the sweep engine itself (no cache — goldens must recompute).
-# ---------------------------------------------------------------------------
 _FLEET_GOLDEN_METRICS = (
     "ttft_p50",
     "ttft_p99",
@@ -604,68 +271,117 @@ _FLEET_GOLDEN_METRICS = (
     "preemptions",
 )
 
-
-def _fleet_golden(scenario: str) -> Dict[str, Scalar]:
-    from .engine import run_sweep
-    from .spec import SweepSpec
-
-    spec = SweepSpec.make(
-        name=f"golden-fleet-{scenario}",
-        evaluator="fleet-scenario",
-        axes={"router": ("round-robin", "least-tokens")},
-        base={"scenario": scenario, "seed": 0},
-    )
-    result = run_sweep(spec)
-    metrics: Dict[str, Scalar] = {}
-    for point, row in result:
-        for key in _FLEET_GOLDEN_METRICS:
-            metrics[f"{point['router']}.{key}"] = row[key]
-    return metrics
+#: Fleet-level prefix A/B: routing, autoscaling and caching composed.
+_FLEET_PREFIX_METRICS = (
+    "ttft_p50",
+    "ttft_p99",
+    "goodput_fraction",
+    "gpu_hours",
+    "replicas_peak",
+    "prefix_hit_rate",
+    "prefix_evictions",
+    "preemptions",
+)
 
 
-def _register_fleet_goldens() -> None:
-    for scenario in ("steady-chat", "bursty-long", "unreliable"):
-        GOLDEN_REGISTRY[f"fleet-{scenario}"] = GoldenDefinition(
-            name=f"fleet-{scenario}",
-            compute=(lambda s: (lambda: _fleet_golden(s)))(scenario),
-            description=(
-                f"fleet TTFT/goodput/GPU-hours of the {scenario!r} scenario "
-                "under round-robin and least-tokens routing"
-            ),
+def _register_scenario_golden(
+    name: str,
+    description: str,
+    evaluator: str,
+    axis: Dict[str, Sequence[Scalar]],
+    base: Dict[str, Scalar],
+    keys: Sequence[str],
+    tenants: bool = False,
+) -> None:
+    """Pin ``keys`` of one scenario at both values of a single-axis sweep.
+
+    Points are labelled by their axis value, booleans (prefix caching) as
+    ``cached`` / ``uncached``.  ``tenants`` also pins every per-tenant
+    ``tenant.<name>.<metric>`` key, so fair-scheduler and admission-control
+    drift shows per tenant, not just in the blended aggregate.
+    """
+
+    def compute() -> Dict[str, Scalar]:
+        from .engine import run_sweep
+        from .spec import SweepSpec
+
+        spec = SweepSpec.make(name=f"golden-{name}", evaluator=evaluator, axes=axis, base=base)
+        (axis_name,) = axis
+        metrics: Dict[str, Scalar] = {}
+        for point, row in run_sweep(spec):
+            label = point[axis_name]
+            if isinstance(label, bool):
+                label = "cached" if label else "uncached"
+            extra = sorted(key for key in row if key.startswith("tenant.")) if tenants else []
+            for key in (*keys, *extra):
+                metrics[f"{label}.{key}"] = row[key]
+        return metrics
+
+    GOLDEN_REGISTRY[name] = GoldenDefinition(name=name, compute=compute, description=description)
+
+
+def _register_scenario_goldens() -> None:
+    deployments = {"mode": ("colocated", "disaggregated")}
+    caching = {"prefix_caching": (False, True)}
+    for scenario in (
+        "chat",
+        "rag-long-prompt",
+        "summarize-512k",
+        "bursty-long",
+        "mixed-fleet",
+        "shared-system-prompt",
+        "rag-shared-corpus",
+        "agentic-prefix-tree",
+    ):
+        _register_scenario_golden(
+            f"serving-{scenario}",
+            f"TTFT/TPOT/goodput of the {scenario!r} scenario, both deployments",
+            "serving-scenario",
+            deployments,
+            {"scenario": scenario, "seed": 0},
+            _SERVING_GOLDEN_METRICS,
         )
-
-
-_register_fleet_goldens()
-
-
-def _fleet_prefix_golden() -> Dict[str, Scalar]:
-    """Fleet-level prefix A/B: routing, autoscaling and caching composed."""
-    from .engine import run_sweep
-    from .spec import SweepSpec
-
-    spec = SweepSpec.make(
-        name="golden-fleet-prefix",
-        evaluator="fleet-scenario",
-        axes={"prefix_caching": (False, True)},
-        base={"scenario": "shared-system-prompt", "seed": 0},
-    )
-    result = run_sweep(spec)
-    metrics: Dict[str, Scalar] = {}
-    keys = ("ttft_p50", "ttft_p99", "goodput_fraction", "gpu_hours", "replicas_peak",
-            "prefix_hit_rate", "prefix_evictions", "preemptions")
-    for point, row in result:
-        label = "cached" if point["prefix_caching"] else "uncached"
-        for key in keys:
-            metrics[f"{label}.{key}"] = row[key]
-    return metrics
-
-
-GOLDEN_REGISTRY["fleet-shared-system-prompt"] = GoldenDefinition(
-    name="fleet-shared-system-prompt",
-    compute=_fleet_prefix_golden,
-    description=(
+    for scenario in ("noisy-neighbour", "tenant-flash-crowd", "batch-backfill-under-interactive"):
+        _register_scenario_golden(
+            f"tenant-{scenario}",
+            f"per-tenant TTFT/TPOT/goodput of the {scenario!r} scenario "
+            "under fair scheduling, both deployments",
+            "serving-scenario",
+            deployments,
+            {"scenario": scenario, "seed": 0},
+            _SERVING_GOLDEN_METRICS,
+            tenants=True,
+        )
+    for scenario in ("shared-system-prompt", "rag-shared-corpus", "agentic-prefix-tree"):
+        _register_scenario_golden(
+            f"prefix-ab-{scenario}",
+            f"prefix caching on/off A/B of the {scenario!r} scenario "
+            "(TTFT, hit rate, prefill FLOPs executed/saved)",
+            "serving-scenario",
+            caching,
+            {"scenario": scenario, "mode": "colocated", "seed": 0},
+            _PREFIX_AB_METRICS,
+        )
+    for scenario in ("steady-chat", "bursty-long", "unreliable"):
+        _register_scenario_golden(
+            f"fleet-{scenario}",
+            f"fleet TTFT/goodput/GPU-hours of the {scenario!r} scenario "
+            "under round-robin and least-tokens routing",
+            "fleet-scenario",
+            {"router": ("round-robin", "least-tokens")},
+            {"scenario": scenario, "seed": 0},
+            _FLEET_GOLDEN_METRICS,
+        )
+    _register_scenario_golden(
+        "fleet-shared-system-prompt",
         "fleet shared-system-prompt scenario with prefix caching on/off: "
         "TTFT, GPU-hours and peak replicas under the rate autoscaler's "
-        "effective-capacity signal"
-    ),
-)
+        "effective-capacity signal",
+        "fleet-scenario",
+        caching,
+        {"scenario": "shared-system-prompt", "seed": 0},
+        _FLEET_PREFIX_METRICS,
+    )
+
+
+_register_scenario_goldens()

@@ -25,12 +25,10 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..constants import UnknownNameError
+from ..schedules.formulas import PAPER_SCHEMES
 from .spec import SweepSpec
 
 __all__ = ["SWEEP_REGISTRY", "get_sweep_spec", "available_sweeps"]
-
-#: The Table 2 schemes the scheme-comparison experiments evaluate.
-_PAPER_SCHEMES = ("zb-v", "v-half", "1f1b", "interleaved-1f1b", "slimpipe")
 
 _SERVING_SCENARIOS = (
     "chat",
@@ -69,7 +67,7 @@ SWEEP_REGISTRY: Dict[str, SweepSpec] = {
             name="scheme-context",
             evaluator="scheme-point",
             axes={
-                "scheme": _PAPER_SCHEMES,
+                "scheme": PAPER_SCHEMES,
                 "sequence_k": (32, 64, 128, 256, 512),
             },
             base={

@@ -82,7 +82,7 @@ class TestRunSweep:
         assert parallel.stats.workers == 2
 
     def test_to_text_renders_axes_and_stats(self):
-        text = run_sweep(_scheme_spec()).to_text()
+        text = run_sweep(_scheme_spec()).table().to_text()
         assert "scheme" in text and "sequence_k" in text
         assert "4 points" in text and "bubble_fraction" in text
 
