@@ -2,8 +2,7 @@
 
 The reproduction has no plotting dependency.  Every experiment generator
 returns a :class:`Table` — a title, :class:`Column` specs and plain dict
-rows — rendered through :func:`render_table`; :func:`render_markdown_table`
-produces the GitHub-flavoured variant of the same layout.
+rows — rendered through :func:`render_table`.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ __all__ = [
     "Column",
     "Table",
     "render_table",
-    "render_markdown_table",
     "format_bytes",
     "format_percent",
 ]
@@ -103,10 +101,6 @@ class Table:
         return metrics
 
 
-def _stringify(rows: Iterable[Sequence[object]]) -> List[List[str]]:
-    return [[str(cell) for cell in row] for row in rows]
-
-
 def render_table(
     headers: Sequence[str],
     rows: Iterable[Sequence[object]],
@@ -116,7 +110,7 @@ def render_table(
 
     ``rows`` may contain any objects; they are stringified with ``str``.
     """
-    str_rows = _stringify(rows)
+    str_rows = [[str(cell) for cell in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in str_rows:
         if len(row) != len(headers):
@@ -133,21 +127,6 @@ def render_table(
     lines.append("  ".join("-" * w for w in widths))
     for row in str_rows:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines) + "\n"
-
-
-def render_markdown_table(
-    headers: Sequence[str], rows: Iterable[Sequence[object]]
-) -> str:
-    """Render a GitHub-flavoured markdown table."""
-    str_rows = _stringify(rows)
-    lines = ["| " + " | ".join(headers) + " |", "|" + "|".join("---" for _ in headers) + "|"]
-    for row in str_rows:
-        if len(row) != len(headers):
-            raise ValueError(
-                f"row has {len(row)} cells but there are {len(headers)} headers"
-            )
-        lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines) + "\n"
 
 

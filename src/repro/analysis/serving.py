@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence
 from ..serving.scenarios import SCENARIO_REGISTRY, get_scenario
 from ..sweep.cache import SweepCache
 from ..sweep.engine import run_sweep
+from ..sweep.registry import PREFIX_SCENARIOS, TENANT_SCENARIOS
 from ..sweep.spec import Scalar, SweepSpec
 from .report import Column, Table
 
@@ -36,14 +37,6 @@ __all__ = [
     "prefix_cache_comparison",
     "tenant_qos_comparison",
 ]
-
-#: Default scenario set for the multi-tenant QoS comparison.
-TENANT_SCENARIOS = (
-    "noisy-neighbour",
-    "tenant-flash-crowd",
-    "batch-backfill-under-interactive",
-)
-
 
 def _scenario_rows(
     name: str,
@@ -123,11 +116,7 @@ def prefix_cache_comparison(
     SLO-relevant numbers plus the cache's own outcomes (hit rate, prefill
     FLOPs executed and saved, LRU evictions) are tabulated side by side.
     """
-    names = (
-        list(scenarios)
-        if scenarios is not None
-        else ["shared-system-prompt", "rag-shared-corpus", "agentic-prefix-tree"]
-    )
+    names = list(scenarios) if scenarios is not None else list(PREFIX_SCENARIOS)
     return Table(
         title=f"Shared-prefix KV caching — on vs off (seed {seed})",
         columns=(

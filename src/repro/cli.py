@@ -351,11 +351,7 @@ def _run_serve(args: argparse.Namespace, get_scenario, run_scenario) -> int:
         if args.trace:
             path = _mode_suffixed(args.trace, mode, len(modes) > 1)
             written = write_perfetto(
-                recorder,
-                path,
-                timeline=result.timeline,
-                anomalies=anomalies,
-                attributions=attributions,
+                recorder, path, anomalies=anomalies, attributions=attributions
             )
             print(f"Perfetto trace written to {written}")
         if args.timeseries:
@@ -538,9 +534,6 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
             print(f"error: {error}", file=sys.stderr)
             return 2
     if args.trace:
-        # Iteration spans are reconstructed from the recorded events (one
-        # ITERATION per naive iteration, one STRETCH per coalesced decode
-        # stretch), so no separate timeline collection is needed.
         written = write_perfetto(
             recorder, args.trace, anomalies=anomalies, attributions=attributions
         )

@@ -40,7 +40,8 @@ its horizon, so every decode-stretch step that ends strictly before it folds
 in one loop with no queue event, and only the step that reaches it is
 queued.  Global handlers start iterations with no horizon: they may push
 global events after the start.  Each replica owns its pools' statistics,
-so they outlive a crash.
+so they outlive a crash.  With a recorder, a replica's iterations appear as
+the ITERATION and STRETCH events on its track, as a serving pool's do.
 
 Replica-hours are metered from provisioning to retirement:
 :data:`GPU_HOURLY_USD` prices them per GPU type, which is what the capacity
@@ -68,13 +69,11 @@ from ..serving.engine import (
     _IterationCap,
     _metrics_fold,
     _Pool,
-    add_iteration_spans,
 )
 from ..serving.metrics import SLO, RequestRecord, ServingMetrics, StreamingMetrics, TenantMetrics
 from ..serving.prefix_cache import prefix_block_keys
 from ..serving.tenancy import TenancyConfig
 from ..serving.workload import Request
-from ..sim.timeline import Timeline
 from .autoscaler import Autoscaler, AutoscalerConfig, FleetView, make_autoscaler
 from .failures import FailurePlan
 from .router import ReplicaSnapshot, Router, get_router
@@ -128,8 +127,7 @@ class FleetConfig:
     #: arrivals lazily from the trace iterable (one in flight in the queue at
     #: a time), drops every record after its fold and switches the fold to
     #: P² quantile sketches, so a million-request fleet run holds
-    #: O(replicas + batch) state.  Incompatible with
-    #: ``collect_timeline=True``.
+    #: O(replicas + batch) state.
     retain_records: bool = True
     #: Opt-in observability: an :class:`~repro.obs.events.EventRecorder`
     #: threaded into every replica pool and the cluster loop itself.  ``None``
@@ -229,7 +227,6 @@ class _Replica:
         model: ModelConfig,
         config: FleetConfig,
         cap: _IterationCap,
-        spans: Optional[List[Tuple[int, float, float]]],
     ):
         self.replica_id = replica_id
         self.gpu_name = config.gpu_for(replica_id)
@@ -238,10 +235,9 @@ class _Replica:
         self.serving_config = config.serving_config(self.gpu_name)
         # Iteration statistics span every pool incarnation, and so do the
         # counters of ``pools`` (crashed ones included); the iteration cap
-        # and the span sink are the fleet's.
+        # is the fleet's.
         self.stats = PoolStats()
         self._cap = cap
-        self._spans = spans
         self.pools: List[_Pool] = []
         self.pool: Optional[_Pool] = self._new_pool()
         self.state = _ReplicaState.PROVISIONING
@@ -260,7 +256,6 @@ class _Replica:
         pool.batcher.obs_track = self.replica_id
         pool.stats = self.stats
         pool.cap = self._cap
-        pool.spans = self._spans
         pool.iteration_event_first = True
         self.pools.append(pool)
         return pool
@@ -379,26 +374,17 @@ class FleetStats:
         return render_table(["metric", "value"], self.to_rows(), title=title)
 
 
-@dataclass
-class FleetResult:
-    """Everything one simulated fleet run produced."""
+@dataclass(kw_only=True)
+class FleetResult(PoolCounters):
+    """Everything one simulated fleet run produced.
+
+    The counters sum over every pool incarnation, crashed ones included.
+    """
 
     metrics: ServingMetrics
     fleet: FleetStats
     records: List[RequestRecord]
     iterations: int
-    tokens_admitted: int
-    tokens_prefilled: int
-    tokens_preempted_requeued: int
-    preemptions: int
-    timeline: Optional[Timeline] = None
-    #: Shared-prefix caching outcomes over every pool incarnation (all zero
-    #: when ``FleetConfig.prefix_caching`` is off).
-    prefix_hit_tokens: int = 0
-    prefix_hit_requests: int = 0
-    prefix_flops_saved: float = 0.0
-    prefill_flops_executed: float = 0.0
-    prefix_evictions: int = 0
     #: ``False`` when the run kept no records
     #: (``FleetConfig.retain_records=False``): ``records`` is empty and the
     #: percentiles are P²-sketched.
@@ -406,17 +392,6 @@ class FleetResult:
     #: Per-tenant aggregates, keyed by tenant name (empty when the trace
     #: carried no tenant tags).
     tenant_metrics: Dict[str, TenantMetrics] = field(default_factory=dict)
-
-    @property
-    def token_accounting_balanced(self) -> bool:
-        """Fleet-wide conservation law, summed over every pool incarnation."""
-        return self.tokens_admitted == self.tokens_prefilled + self.tokens_preempted_requeued
-
-    @property
-    def prefix_hit_rate(self) -> float:
-        """Fraction of required prompt tokens served from the prefix caches."""
-        required = self.prefix_hit_tokens + self.tokens_prefilled
-        return self.prefix_hit_tokens / required if required else 0.0
 
     def to_text(self, title: str = "fleet run") -> str:
         return self.metrics.to_text(title=title) + self.fleet.to_text(title=f"{title} — fleet")
@@ -456,7 +431,7 @@ class FleetEngine:
         heapq.heappush(self._events, (time, self._seq, kind, payload))
 
     def _new_replica(self, now: float, delay: float) -> _Replica:
-        replica = _Replica(len(self._replicas), self.model, self.config, self._cap, self._spans)
+        replica = _Replica(len(self._replicas), self.model, self.config, self._cap)
         replica.provisioned_at = now
         self._replicas.append(replica)
         obs = self._obs
@@ -733,20 +708,10 @@ class FleetEngine:
         self._pushed_arrivals += 1
         self._push(arrival, _ARRIVAL, request)
 
-    def run(
-        self,
-        trace: Iterable[Request],
-        slo: Optional[SLO] = None,
-        collect_timeline: bool = False,
-    ) -> FleetResult:
+    def run(self, trace: Iterable[Request], slo: Optional[SLO] = None) -> FleetResult:
         slo = slo or SLO()
         cfg = self.config
         streaming = not cfg.retain_records
-        if streaming and collect_timeline:
-            raise ValueError(
-                "collect_timeline needs O(iterations) span memory; "
-                "incompatible with retain_records=False"
-            )
         if not streaming and not isinstance(trace, Sequence):
             trace = list(trace)
         if isinstance(trace, Sequence) and not trace:
@@ -768,7 +733,6 @@ class FleetEngine:
         self._arrivals_since_tick = 0
         self._rate_ewma: Optional[float] = None
         self._autoscaler: Autoscaler = make_autoscaler(cfg.autoscaler)
-        self._spans: Optional[List[Tuple[int, float, float]]] = [] if collect_timeline else None
         self._obs: Optional[EventRecorder] = cfg.observe
         self._metrics: StreamingMetrics = _metrics_fold(
             slo, cfg.tenancy, cfg.retain_records
@@ -939,20 +903,11 @@ class FleetEngine:
             gpu_hours_by_type=hours_by_type,
             cost_usd=cost,
         )
-        timeline = None
-        if self._spans is not None:
-            # Folded stretch steps are recorded ahead of the queue, so spans
-            # are ordered here: by completion time, then replica id.
-            timeline = Timeline(num_devices=len(self._replicas))
-            add_iteration_spans(
-                timeline, sorted(self._spans, key=lambda span: (span[2], span[0]))
-            )
         return FleetResult(
             metrics=metrics,
             fleet=stats,
             records=records,
             iterations=self._cap.count,
-            timeline=timeline,
             retain_records=self.config.retain_records,
             tenant_metrics=self._metrics.tenant_metrics(duration),
             **vars(counters),

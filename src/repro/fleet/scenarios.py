@@ -395,7 +395,6 @@ def run_fleet_scenario(
     load_scale: float = 1.0,
     autoscale: Optional[bool] = None,
     with_failures: bool = True,
-    collect_timeline: bool = False,
     fast_forward: bool = True,
     prefix_caching: Optional[bool] = None,
     observe: Optional[EventRecorder] = None,
@@ -425,4 +424,4 @@ def run_fleet_scenario(
         failure_plan=scenario.failure_plan if with_failures else FailurePlan(),
     )
     trace = scenario.make_trace(seed=seed, load_scale=load_scale)
-    return engine.run(trace, scenario.slo, collect_timeline=collect_timeline)
+    return engine.run(trace, scenario.slo)

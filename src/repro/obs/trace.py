@@ -1,16 +1,14 @@
 """Perfetto/Chrome trace export of a recorded serving or fleet run.
 
-Turns an :class:`~repro.obs.events.EventRecorder` stream (plus, when
-available, the engine's exact iteration :class:`~repro.sim.timeline.Timeline`)
-into a trace the ``chrome://tracing`` and https://ui.perfetto.dev viewers
-load directly.  Layout:
+Turns an :class:`~repro.obs.events.EventRecorder` stream into a trace the
+``chrome://tracing`` and https://ui.perfetto.dev viewers load directly.
+Layout:
 
-* **pid 0 — engine**: one track per pool/replica.  Iteration spans come
-  from the timeline when one was collected (always, for the serving
-  engines) and otherwise from the recorded ``ITERATION``/``STRETCH``
-  events; coalesced decode stretches render as one ``decode xN`` span.
-  Replica lifecycle moments (provision, activate, crash, recover, slow
-  windows, retirement) are instant markers on their replica's track.
+* **pid 0 — engine**: one track per pool/replica.  Every recorded
+  ``ITERATION`` renders as one ``iteration`` box and every coalesced decode
+  ``STRETCH`` as one ``decode xN`` box.  Replica lifecycle moments
+  (provision, activate, crash, recover, slow windows, retirement) are
+  instant markers on their replica's track.
 * **pid 1 — requests**: one async lifeline per request id, opened at
   arrival and closed at finish (or at hand-off, then reopened on the
   decode pool), with admission, first-token, preemption and prefix-hit
@@ -26,9 +24,8 @@ load directly.  Layout:
   its args.  Passing ``attributions`` additionally attaches the
   per-request span breakdown to the request lifeline's closing event.
 
-The export is a pure function of the event stream and timeline, so two
-identical runs serialise to byte-identical JSON (pinned by
-``tests/test_obs_trace.py``).
+The export is a pure function of the event stream, so two identical runs
+serialise to byte-identical JSON (pinned by ``tests/test_obs_trace.py``).
 """
 
 from __future__ import annotations
@@ -88,18 +85,14 @@ def _track_label(recorder: EventRecorder, track: int) -> str:
 
 def to_perfetto(
     recorder: EventRecorder,
-    timeline: Optional[object] = None,
     time_unit_us: float = 1e6,
     anomalies: Optional[List[object]] = None,
     attributions: Optional[Dict[int, object]] = None,
 ) -> Dict:
     """Build the Chrome trace-event JSON container for one recorded run.
 
-    ``timeline`` is the engine's iteration timeline when one was collected;
-    its spans then provide the exact per-iteration boxes and the recorded
-    ``ITERATION``/``STRETCH`` events only feed the counter tracks.  Without
-    a timeline the spans are reconstructed from those events instead (one
-    box per naive iteration, one ``decode xN`` box per stretch).
+    The engine boxes come from the recorded ``ITERATION``/``STRETCH`` events:
+    one box per naive iteration, one ``decode xN`` box per stretch.
 
     ``anomalies`` (from :func:`repro.obs.anomaly.detect_anomalies`) adds
     the diagnosis marker track; ``attributions`` (from
@@ -137,21 +130,6 @@ def to_perfetto(
             chrome.thread_name_event(_ENGINE_PID, track, _track_label(recorder, track))
         )
 
-    span_source_is_timeline = timeline is not None
-    if span_source_is_timeline:
-        for span in timeline.spans:
-            events.append(
-                chrome.complete_event(
-                    "iteration",
-                    _ENGINE_PID,
-                    span.device,
-                    span.start,
-                    span.duration,
-                    time_unit_us,
-                    cat="iteration",
-                )
-            )
-
     open_lifelines: Dict[int, bool] = {}
     # Cumulative prefix accounting per track feeds the hit-rate counter.
     prefix_hit_tokens: Dict[int, int] = {}
@@ -165,18 +143,17 @@ def to_perfetto(
         if kind == ITERATION:
             data = event.data
             label = _track_label(recorder, track)
-            if not span_source_is_timeline:
-                events.append(
-                    chrome.complete_event(
-                        "iteration",
-                        _ENGINE_PID,
-                        track,
-                        time - data[ITER_DURATION],
-                        data[ITER_DURATION],
-                        time_unit_us,
-                        cat="iteration",
-                    )
+            events.append(
+                chrome.complete_event(
+                    "iteration",
+                    _ENGINE_PID,
+                    track,
+                    time - data[ITER_DURATION],
+                    data[ITER_DURATION],
+                    time_unit_us,
+                    cat="iteration",
                 )
+            )
             events.append(
                 chrome.counter_event(
                     f"queue depth [{label}]", _COUNTER_PID, time,
@@ -213,19 +190,18 @@ def to_perfetto(
         elif kind == STRETCH:
             steps, batch, start, kv_utilization = event.data
             label = _track_label(recorder, track)
-            if not span_source_is_timeline:
-                events.append(
-                    chrome.complete_event(
-                        f"decode x{steps}",
-                        _ENGINE_PID,
-                        track,
-                        start,
-                        time - start,
-                        time_unit_us,
-                        cat="stretch",
-                        args={"steps": steps, "batch": batch},
-                    )
+            events.append(
+                chrome.complete_event(
+                    f"decode x{steps}",
+                    _ENGINE_PID,
+                    track,
+                    start,
+                    time - start,
+                    time_unit_us,
+                    cat="stretch",
+                    args={"steps": steps, "batch": batch},
                 )
+            )
             events.append(
                 chrome.counter_event(
                     f"batch tokens [{label}]", _COUNTER_PID, time, batch, time_unit_us
@@ -309,16 +285,12 @@ def to_perfetto(
 def write_perfetto(
     recorder: EventRecorder,
     path: str,
-    timeline: Optional[object] = None,
     time_unit_us: float = 1e6,
     anomalies: Optional[List[object]] = None,
     attributions: Optional[Dict[int, object]] = None,
 ) -> str:
     """Serialise :func:`to_perfetto` to ``path`` and return the path."""
     return chrome.write_trace(
-        to_perfetto(
-            recorder, timeline, time_unit_us,
-            anomalies=anomalies, attributions=attributions,
-        ),
+        to_perfetto(recorder, time_unit_us, anomalies=anomalies, attributions=attributions),
         path,
     )

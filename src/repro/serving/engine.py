@@ -39,7 +39,9 @@ iteration-level scheduling style of Orca (Yu et al., OSDI 2022):
   pure-decode batch, starts a *stretch* (below);
 * :meth:`_Pool.complete` completes the in-flight iteration at its end: the
   KV-utilization, busy-time and iteration statistics, the iteration cap,
-  the timeline span, the ITERATION or STRETCH event and the commit.
+  the ITERATION or STRETCH event and the commit.  With a recorder, those
+  events are the run's one iteration trace: one ITERATION per naive
+  iteration, one STRETCH per coalesced decode stretch.
 
 The callers only decide *when*.  :meth:`_Pool.run` is the serving loop: it
 ingests arrivals, bounds every start by the next arrival and jumps idle time
@@ -88,11 +90,9 @@ from ..hardware.topology import ClusterTopology
 from ..model.config import ModelConfig
 from ..obs import events as obs_events
 from ..obs.events import EventRecorder
-from ..model.costs import CostModel, PassKind
+from ..model.costs import CostModel
 from ..model.flops import FlopsBreakdown, layer_forward_flops, output_layer_flops
 from ..model.memory import kv_cache_bytes_per_token_per_layer
-from ..schedules.base import Pass
-from ..sim.timeline import Timeline, TimelineSpan
 from .batcher import (
     EXACT_FLOPS_BOUND,
     BatcherConfig,
@@ -127,8 +127,7 @@ class ServingConfig:
     #: the module docstring).  ``False`` forces the naive one-iteration-at-a-
     #: time reference stepper.
     fast_forward: bool = True
-    #: Keep every :class:`RequestRecord` (and the iteration timeline) in the
-    #: result.  Either way finished requests fold into one
+    #: Keep every :class:`RequestRecord` in the result.  Either way finished requests fold into one
     #: :class:`~repro.serving.metrics.StreamingMetrics`; this flag decides
     #: only whether the records are kept and which quantile backend the fold
     #: uses — exact sorted samples (``True``, the default every golden and
@@ -179,45 +178,6 @@ class ServingConfig:
 
 
 @dataclass
-class ServingResult:
-    """Everything one simulated serving run produced."""
-
-    mode: str
-    metrics: ServingMetrics
-    records: List[RequestRecord]
-    timeline: Timeline
-    iterations: int
-    kv_capacity_tokens: int
-    tokens_admitted: int
-    tokens_prefilled: int
-    tokens_preempted_requeued: int
-    preemptions: int
-    #: Shared-prefix caching outcomes (all zero when ``prefix_caching=False``).
-    prefix_hit_tokens: int = 0
-    prefix_hit_requests: int = 0
-    prefix_flops_saved: float = 0.0
-    prefill_flops_executed: float = 0.0
-    prefix_evictions: int = 0
-    #: ``False`` when the run kept no records: ``records`` is empty,
-    #: ``timeline`` has no spans and the percentiles are P²-sketched.
-    retain_records: bool = True
-    #: Per-tenant aggregates, keyed by tenant name.  Empty unless the trace
-    #: carried tenant tags.
-    tenant_metrics: Dict[str, TenantMetrics] = field(default_factory=dict)
-
-    @property
-    def token_accounting_balanced(self) -> bool:
-        """The engine's conservation law over a fully drained trace."""
-        return self.tokens_admitted == self.tokens_prefilled + self.tokens_preempted_requeued
-
-    @property
-    def prefix_hit_rate(self) -> float:
-        """Fraction of required prompt tokens served from the prefix cache."""
-        required = self.prefix_hit_tokens + self.tokens_prefilled
-        return self.prefix_hit_tokens / required if required else 0.0
-
-
-@dataclass
 class PoolStats:
     """What a pool's completed iterations add up to.
 
@@ -240,8 +200,9 @@ class PoolStats:
 class PoolCounters:
     """Token, preemption and prefix-cache counters, summed over pools.
 
-    The counters every serving and fleet result reports; each sum runs in
-    pool order from zero.
+    The counters every serving and fleet result reports (both results
+    inherit them); each sum runs in pool order from zero.  The prefix-cache
+    outcomes are all zero when prefix caching is off.
     """
 
     tokens_admitted: int = 0
@@ -270,6 +231,11 @@ class PoolCounters:
             setattr(self, name, getattr(self, name) + value)
 
     @property
+    def token_accounting_balanced(self) -> bool:
+        """The conservation law over a fully drained trace, summed over pools."""
+        return self.tokens_admitted == self.tokens_prefilled + self.tokens_preempted_requeued
+
+    @property
     def prefix_hit_rate(self) -> float:
         """Fraction of required prompt tokens served from the prefix cache."""
         required = self.prefix_hit_tokens + self.tokens_prefilled
@@ -289,6 +255,23 @@ class PoolCounters:
             prefix_flops_saved=self.prefix_flops_saved,
             prefix_evictions=self.prefix_evictions,
         )
+
+
+@dataclass(kw_only=True)
+class ServingResult(PoolCounters):
+    """Everything one simulated serving run produced."""
+
+    mode: str
+    metrics: ServingMetrics
+    records: List[RequestRecord]
+    iterations: int
+    kv_capacity_tokens: int
+    #: ``False`` when the run kept no records: ``records`` is empty and the
+    #: percentiles are P²-sketched.
+    retain_records: bool = True
+    #: Per-tenant aggregates, keyed by tenant name.  Empty unless the trace
+    #: carried tenant tags.
+    tenant_metrics: Dict[str, TenantMetrics] = field(default_factory=dict)
 
 
 #: The :class:`PoolCounters` a pool's batcher keeps under the same names
@@ -390,13 +373,11 @@ class _Pool:
         self._fwd_attention_rate = gpu.peak_flops * gpu.attention_efficiency_forward
         self._intensity_knee = gpu.intensity_tokens
         self._launch_overhead = gpu.kernel_launch_overhead
-        # The caller owns the statistics, the iteration cap and the span sink
-        # ((track, start, end) per iteration, or None).  ITERATION goes out
-        # after the commit (serving's order) unless ``iteration_event_first``
-        # (the fleet's).
+        # The caller owns the statistics and the iteration cap.  ITERATION
+        # goes out after the commit (serving's order) unless
+        # ``iteration_event_first`` (the fleet's).
         self.stats = PoolStats()
         self.cap = _IterationCap(config.max_iterations, "serving loop")
-        self.spans: Optional[List[Tuple[int, float, float]]] = None
         self.iteration_event_first = False
         # Token buckets refill against the batcher's clock, so it must track
         # simulated time whenever admission control is live (the recorder
@@ -754,8 +735,6 @@ class _Pool:
         kv_weighted = stats.kv_weighted
         busy_time = stats.busy_time
         utilization = 0.0
-        spans = self.spans
-        track = batcher.obs_track
         steps = 0
         while steps < limit:
             duration = pair_time(
@@ -769,8 +748,6 @@ class _Pool:
             utilization = stored / capacity
             kv_weighted += utilization * duration
             busy_time += duration
-            if spans is not None:
-                spans.append((track, end - duration, end))
             now = end
         if not steps:
             return now
@@ -806,7 +783,7 @@ class _Pool:
 
         Folds it into :attr:`stats` (with the KV utilization the iteration
         leaves before its commit), spends one iteration of :attr:`cap`,
-        records its span and its event, and commits it.  A stretch step
+        records its event, and commits it.  A stretch step
         credits one decoded token per request — all the commit does for a
         pure-decode plan with no departure — and the stretch's last step
         emits its STRETCH roll-up.  Returns the requests that left the pool.
@@ -822,8 +799,6 @@ class _Pool:
         stats.iterations += 1
         self.cap.spend(1)
         batcher = self.batcher
-        if self.spans is not None:
-            self.spans.append((batcher.obs_track, now - duration, now))
         if plan is self._stretch:
             batcher.advance_decodes(plan.decode, 1)
             self._stretch_done += 1
@@ -891,7 +866,6 @@ class _Pool:
         self,
         states: Union[Sequence[RequestState], Iterator[RequestState]],
         on_depart: Callable[[RequestState], None],
-        timeline: Optional[Timeline] = None,
         device: int = 0,
     ) -> float:
         """Drain ``states`` through the stepping core.
@@ -901,8 +875,8 @@ class _Pool:
         in-flight iteration reaches ends its decode stretch — and completes
         it.  An idle pool jumps to the next arrival, or to a token-bucket
         refill.  Every departure goes to ``on_depart`` (the pool retains no
-        per-request state past it); spans go to ``timeline`` on ``device``,
-        numbered per pool.  Returns the time the pool drained.
+        per-request state past it); events go to track ``device``.  Returns
+        the time the pool drained.
         """
         if isinstance(states, Sequence):
             stream: Iterator[RequestState] = iter(
@@ -921,7 +895,6 @@ class _Pool:
             obs.register_track(device, self.track_name)
         self.stats = PoolStats()
         self.cap = _IterationCap(self.config.max_iterations, "serving loop")
-        self.spans = [] if timeline is not None else None
         now = 0.0
         while True:
             while upcoming is not None and upcoming.pool_arrival <= now + 1e-12:
@@ -957,22 +930,7 @@ class _Pool:
             now = end
             for state in self.complete(now):
                 on_depart(state)
-        if timeline is not None:
-            add_iteration_spans(timeline, self.spans)
         return now
-
-
-def add_iteration_spans(timeline: Timeline, spans: Iterable[Tuple[int, float, float]]) -> None:
-    """Add ``(device, start, end)`` iteration spans, numbered in order."""
-    for index, (device, start, end) in enumerate(spans):
-        timeline.add(
-            TimelineSpan(
-                device=device,
-                work=Pass(kind=PassKind.FORWARD, microbatch=index, stage=0, device=device),
-                start=start,
-                end=end,
-            )
-        )
 
 
 def _arrival_key(request: Request) -> Tuple[float, int]:
@@ -1005,10 +963,10 @@ class ServingEngine:
         order and its records come back in trace order.  Any other iterable
         is pulled one request at a time (it may be a generator a million
         requests long) and must already be sorted by ``arrival_time``.  With
-        ``retain_records=False`` neither records nor timeline spans are kept:
-        each record is made as its request arrives and dropped at departure,
-        so fed an iterator, peak memory is set by the batch, the KV pool and
-        the sketches, not by the trace length.
+        ``retain_records=False`` no record is kept: each is made as its
+        request arrives and dropped at departure, so fed an iterator, peak
+        memory is set by the batch, the KV pool and the sketches, not by the
+        trace length.
         """
         slo = slo or SLO()
         retain = self.config.retain_records
@@ -1049,12 +1007,7 @@ class ServingEngine:
                     records.append(record)
                 yield RequestState(record=record)
 
-        timeline = Timeline(num_devices=1)
-        end_time = self.pool.run(
-            arrivals(),
-            lambda state: fold.observe(state.record),
-            timeline=timeline if retain else None,
-        )
+        end_time = self.pool.run(arrivals(), lambda state: fold.observe(state.record))
         duration = max(end_time - first_arrival[0], 1e-12) if first_arrival else 0.0
         stats = self.pool.stats
         counters = PoolCounters.of([self.pool])
@@ -1062,7 +1015,6 @@ class ServingEngine:
             mode="colocated",
             metrics=counters.finalize(fold, duration, stats.kv_mean, stats.kv_peak),
             records=records,
-            timeline=timeline,
             iterations=stats.iterations,
             kv_capacity_tokens=self.pool.kv_capacity_tokens,
             retain_records=retain,
@@ -1137,9 +1089,8 @@ class DisaggregatedEngine:
         slo = slo or SLO()
         fold = _metrics_fold(slo, self.config.tenancy, retain_records=True)
         states = [RequestState(record=RequestRecord(request)) for request in trace]
-        timeline = Timeline(num_devices=2)
         departed: List[RequestState] = []
-        prefill_end = self.prefill_pool.run(states, departed.append, timeline=timeline)
+        prefill_end = self.prefill_pool.run(states, departed.append)
 
         handoffs: List[RequestState] = []
         for state in departed:
@@ -1157,7 +1108,7 @@ class DisaggregatedEngine:
                 )
             )
         decode_end = self.decode_pool.run(
-            handoffs, lambda state: fold.observe(state.record), timeline=timeline, device=1
+            handoffs, lambda state: fold.observe(state.record), device=1
         )
 
         records = [state.record for state in states]
@@ -1180,7 +1131,6 @@ class DisaggregatedEngine:
                 fold, duration, kv_mean, max(stats.kv_peak for stats in both)
             ),
             records=records,
-            timeline=timeline,
             iterations=sum(stats.iterations for stats in both),
             kv_capacity_tokens=self.prefill_pool.kv_capacity_tokens
             + self.decode_pool.kv_capacity_tokens,

@@ -34,6 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..constants import UnknownNameError
 from .cache import constants_fingerprint
+from .registry import FLEET_SCENARIOS, PREFIX_SCENARIOS, SERVING_SCENARIOS, TENANT_SCENARIOS
 from .spec import Scalar
 
 __all__ = [
@@ -323,16 +324,7 @@ def _register_scenario_golden(
 def _register_scenario_goldens() -> None:
     deployments = {"mode": ("colocated", "disaggregated")}
     caching = {"prefix_caching": (False, True)}
-    for scenario in (
-        "chat",
-        "rag-long-prompt",
-        "summarize-512k",
-        "bursty-long",
-        "mixed-fleet",
-        "shared-system-prompt",
-        "rag-shared-corpus",
-        "agentic-prefix-tree",
-    ):
+    for scenario in SERVING_SCENARIOS:
         _register_scenario_golden(
             f"serving-{scenario}",
             f"TTFT/TPOT/goodput of the {scenario!r} scenario, both deployments",
@@ -341,7 +333,7 @@ def _register_scenario_goldens() -> None:
             {"scenario": scenario, "seed": 0},
             _SERVING_GOLDEN_METRICS,
         )
-    for scenario in ("noisy-neighbour", "tenant-flash-crowd", "batch-backfill-under-interactive"):
+    for scenario in TENANT_SCENARIOS:
         _register_scenario_golden(
             f"tenant-{scenario}",
             f"per-tenant TTFT/TPOT/goodput of the {scenario!r} scenario "
@@ -352,7 +344,7 @@ def _register_scenario_goldens() -> None:
             _SERVING_GOLDEN_METRICS,
             tenants=True,
         )
-    for scenario in ("shared-system-prompt", "rag-shared-corpus", "agentic-prefix-tree"):
+    for scenario in PREFIX_SCENARIOS:
         _register_scenario_golden(
             f"prefix-ab-{scenario}",
             f"prefix caching on/off A/B of the {scenario!r} scenario "
@@ -362,7 +354,7 @@ def _register_scenario_goldens() -> None:
             {"scenario": scenario, "mode": "colocated", "seed": 0},
             _PREFIX_AB_METRICS,
         )
-    for scenario in ("steady-chat", "bursty-long", "unreliable"):
+    for scenario in FLEET_SCENARIOS:
         _register_scenario_golden(
             f"fleet-{scenario}",
             f"fleet TTFT/goodput/GPU-hours of the {scenario!r} scenario "

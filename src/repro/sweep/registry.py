@@ -28,9 +28,19 @@ from ..constants import UnknownNameError
 from ..schedules.formulas import PAPER_SCHEMES
 from .spec import SweepSpec
 
-__all__ = ["SWEEP_REGISTRY", "get_sweep_spec", "available_sweeps"]
+__all__ = [
+    "SWEEP_REGISTRY",
+    "SERVING_SCENARIOS",
+    "PREFIX_SCENARIOS",
+    "TENANT_SCENARIOS",
+    "FLEET_SCENARIOS",
+    "get_sweep_spec",
+    "available_sweeps",
+]
 
-_SERVING_SCENARIOS = (
+#: The scenario sets the sweeps, goldens and comparison tables share.  Their
+#: order is the order of every sweep point, golden and rendered row.
+SERVING_SCENARIOS = (
     "chat",
     "rag-long-prompt",
     "summarize-512k",
@@ -40,12 +50,9 @@ _SERVING_SCENARIOS = (
     "rag-shared-corpus",
     "agentic-prefix-tree",
 )
-
-_PREFIX_SCENARIOS = (
-    "shared-system-prompt",
-    "rag-shared-corpus",
-    "agentic-prefix-tree",
-)
+PREFIX_SCENARIOS = ("shared-system-prompt", "rag-shared-corpus", "agentic-prefix-tree")
+TENANT_SCENARIOS = ("noisy-neighbour", "tenant-flash-crowd", "batch-backfill-under-interactive")
+FLEET_SCENARIOS = ("steady-chat", "bursty-long", "unreliable")
 
 
 SWEEP_REGISTRY: Dict[str, SweepSpec] = {
@@ -84,7 +91,7 @@ SWEEP_REGISTRY: Dict[str, SweepSpec] = {
             name="serving",
             evaluator="serving-scenario",
             axes={
-                "scenario": _SERVING_SCENARIOS,
+                "scenario": SERVING_SCENARIOS,
                 "mode": ("colocated", "disaggregated"),
             },
             base={"seed": 0},
@@ -94,7 +101,7 @@ SWEEP_REGISTRY: Dict[str, SweepSpec] = {
             name="fleet",
             evaluator="fleet-scenario",
             axes={
-                "scenario": ("steady-chat", "bursty-long", "unreliable"),
+                "scenario": FLEET_SCENARIOS,
                 "router": ("round-robin", "least-tokens"),
             },
             base={"seed": 0},
@@ -104,7 +111,7 @@ SWEEP_REGISTRY: Dict[str, SweepSpec] = {
             name="prefix-cache",
             evaluator="serving-scenario",
             axes={
-                "scenario": _PREFIX_SCENARIOS,
+                "scenario": PREFIX_SCENARIOS,
                 "prefix_caching": (False, True),
             },
             base={"seed": 0, "mode": "colocated"},

@@ -7,7 +7,6 @@ from repro.analysis.report import (
     Table,
     format_bytes,
     format_percent,
-    render_markdown_table,
     render_table,
 )
 
@@ -34,19 +33,6 @@ class TestRenderTable:
         lines = text.splitlines()
         positions = [line.index("1") if "1" in line else line.index("2") for line in lines[2:]]
         assert len(set(positions)) == 1
-
-
-class TestRenderMarkdownTable:
-    def test_structure(self):
-        text = render_markdown_table(["a", "b"], [(1, 2)])
-        lines = text.splitlines()
-        assert lines[0] == "| a | b |"
-        assert lines[1] == "|---|---|"
-        assert lines[2] == "| 1 | 2 |"
-
-    def test_row_width_mismatch(self):
-        with pytest.raises(ValueError):
-            render_markdown_table(["a"], [(1, 2)])
 
 
 class TestFormatters:

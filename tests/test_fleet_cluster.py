@@ -8,7 +8,10 @@ from repro.fleet.cluster import GPU_HOURLY_USD, FleetConfig, FleetEngine
 from repro.fleet.failures import FailureEvent, FailurePlan
 from repro.fleet.scenarios import get_fleet_scenario, run_fleet_scenario
 from repro.model.config import get_model_config
+from repro.obs.events import EventRecorder
 from repro.serving.workload import poisson_trace, replay_trace
+
+from test_fast_forward_equivalence import assert_iterations_accounted, fleet_digest
 
 MODEL = get_model_config("llama-13b")
 
@@ -137,16 +140,12 @@ class TestFleetEngineBasics:
         assert result.fleet.replicas_provisioned == 1
         assert result.metrics.num_requests == 10
 
-    def test_timeline_collection(self):
-        result = FleetEngine(MODEL, _config()).run(_trace(), collect_timeline=True)
-        assert result.timeline is not None
-        spans = list(result.timeline.spans)
-        assert len(spans) == result.iterations
-        assert {span.device for span in spans} <= {0, 1}
-
-    def test_timeline_skipped_by_default(self):
-        result = FleetEngine(MODEL, _config()).run(_trace())
-        assert result.timeline is None
+    def test_iteration_events_count_every_iteration(self):
+        recorder = EventRecorder()
+        result = FleetEngine(MODEL, _config(observe=recorder)).run(_trace())
+        digest = fleet_digest(result, recorder)
+        assert_iterations_accounted(digest)
+        assert set(digest["iteration_ends"]) <= {0, 1}
 
     def test_to_text_renders_both_tables(self):
         result = FleetEngine(MODEL, _config()).run(_trace())

@@ -7,14 +7,17 @@ fleets — replica count, router, autoscaler, crash and overlapping slow
 windows timed anywhere in the run (so often inside a stretch), prefix
 caching and record retention — and requires, on every example:
 
-* fast == naive on the whole fleet digest, timeline spans included;
+* fast == naive on the whole fleet digest, with every ITERATION and
+  STRETCH event of the fast run ending where the naive run's iteration of
+  the same count ends;
 * the token conservation law over every pool incarnation;
 * no stall: the run drains and every request finishes.
 
-Two deterministic cases pin the tie rules: identical replicas serving
-identical requests complete at bit-identical times, and a failure timed to
-the bit on a stretch step's end ties with that completion; both paths order
-either tie alike.
+Two deterministic cases pin the tie rules on the naive run's ITERATION
+events: identical replicas serving identical requests complete at
+bit-identical times, in replica order, and a failure timed to the bit on a
+stretch step's end ties with that completion; both paths order either tie
+alike.
 """
 
 from hypothesis import given, settings
@@ -24,10 +27,11 @@ from repro.fleet.autoscaler import AutoscalerConfig
 from repro.fleet.cluster import FleetConfig, FleetEngine
 from repro.fleet.failures import FailureEvent, FailurePlan
 from repro.model.config import get_model_config
+from repro.obs.events import ITER_DURATION, ITERATION, EventRecorder
 from repro.serving.metrics import SLO
 from repro.serving.workload import Request
 
-from test_fast_forward_equivalence import fleet_digest
+from test_fast_forward_equivalence import assert_fast_matches_naive, fleet_digest
 
 MODEL = get_model_config("llama-13b")
 PREFIX = (("system-prompt", 1024),)
@@ -48,21 +52,28 @@ def _trace(triples, shared_prefix):
 
 
 def _run(trace, config, router, plan, fast_forward):
-    config = FleetConfig(**{**config, "fast_forward": fast_forward})
+    """One fleet run and its recorder."""
+    recorder = EventRecorder()
+    config = FleetConfig(**{**config, "fast_forward": fast_forward, "observe": recorder})
     engine = FleetEngine(MODEL, config, router=router, failure_plan=plan)
-    return engine.run(list(trace), SLO(), collect_timeline=config.retain_records)
+    return engine.run(list(trace), SLO()), recorder
+
+
+def _iterations(recorder):
+    return [event for event in recorder.events if event.kind == ITERATION]
 
 
 def _check(trace, config, router="round-robin", plan=None):
+    """Compare the fast and naive runs; return the naive run's ITERATION events."""
     plan = plan or FailurePlan()
-    fast = _run(trace, config, router, plan, fast_forward=True)
-    naive = _run(trace, config, router, plan, fast_forward=False)
-    assert fleet_digest(fast) == fleet_digest(naive)
+    fast, fast_events = _run(trace, config, router, plan, fast_forward=True)
+    naive, naive_events = _run(trace, config, router, plan, fast_forward=False)
+    assert_fast_matches_naive(fleet_digest(fast, fast_events), fleet_digest(naive, naive_events))
     assert fast.token_accounting_balanced
     assert fast.metrics.num_requests == len(trace)
     if fast.retain_records:
         assert all(record.finished for record in fast.records)
-    return fast
+    return _iterations(naive_events)
 
 
 failure_events = st.builds(
@@ -135,14 +146,14 @@ def test_identical_replicas_tie_alike_in_both_paths():
     # iteration of one completes at the same float time as the other's.
     trace = _trace([(0.0, 512, 40), (0.0, 512, 40)], shared_prefix=False)
     config = dict(gpus_per_replica=1, initial_replicas=2, max_replicas=2)
-    result = _check(trace, config)
     ends = {}
-    for span in result.timeline.spans:
-        ends.setdefault(span.end, []).append(span.device)
-    ties = [devices for devices in ends.values() if len(devices) > 1]
+    for event in _check(trace, config):
+        ends.setdefault(event.time, []).append(event.track)
+    ties = [replicas for replicas in ends.values() if len(replicas) > 1]
     assert ties, "the replicas never completed at the same time"
-    # The timeline orders tied spans by replica id.
-    assert all(devices == sorted(devices) for devices in ties)
+    # Tied completions, with no global event queued between them, complete
+    # in replica order.
+    assert all(replicas == sorted(replicas) for replicas in ties)
 
 
 def test_global_event_exactly_at_a_stretch_step_end():
@@ -151,13 +162,14 @@ def test_global_event_exactly_at_a_stretch_step_end():
     # paths, and the step that reaches it must not fold.
     trace = _trace([(0.0, 512, 60)], shared_prefix=False)
     config = dict(gpus_per_replica=1, initial_replicas=1, max_replicas=1)
-    probe = _run(trace, config, "round-robin", FailurePlan(), fast_forward=False)
-    tie = probe.timeline.spans[len(probe.timeline.spans) // 2].end
+    _, probe = _run(trace, config, "round-robin", FailurePlan(), fast_forward=False)
+    iterations = _iterations(probe)
+    tie = iterations[len(iterations) // 2].time
     slow = FailureEvent(time=tie, kind="slow", replica_index=0, duration=0.5, slowdown=2.0)
     crash = FailureEvent(time=tie, kind="crash", replica_index=0, duration=0.5)
     _check(trace, config, plan=FailurePlan(events=(crash,)))
-    spans = _check(trace, config, plan=FailurePlan(events=(slow,))).timeline.spans
+    iterations = _check(trace, config, plan=FailurePlan(events=(slow,)))
     # The slow window opened before the step starting at ``tie`` was priced.
-    at = next(index for index, span in enumerate(spans) if span.end == tie)
-    before, after = (span.end - span.start for span in spans[at : at + 2])
+    at = next(index for index, event in enumerate(iterations) if event.time == tie)
+    before, after = (event.data[ITER_DURATION] for event in iterations[at : at + 2])
     assert after > 1.5 * before

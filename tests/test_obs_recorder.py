@@ -3,7 +3,8 @@
 Design constraint 1 of :mod:`repro.obs.events` — every emit site is guarded
 by ``if obs is not None``, so attaching a recorder may never change a
 simulated number.  This suite pins bit equality of every metric, timestamp
-and counter between observed and unobserved runs:
+and counter between observed and unobserved runs (iteration ends live in
+the event stream, which only the observed run has):
 
 * across every registered serving scenario in both deployment modes,
 * across every registered fleet scenario (autoscaling, crashes, slow

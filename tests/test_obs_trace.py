@@ -20,10 +20,10 @@ from repro.serving.scenarios import SCENARIO_REGISTRY, run_scenario
 _KNOWN_PHASES = {"M", "X", "C", "i", "b", "e", "n"}
 
 
-def _serving_trace(mode="colocated", with_timeline=True):
+def _serving_trace(mode="colocated"):
     recorder = EventRecorder()
-    result = run_scenario(SCENARIO_REGISTRY["chat"], mode, seed=0, observe=recorder)
-    return to_perfetto(recorder, timeline=result.timeline if with_timeline else None)
+    run_scenario(SCENARIO_REGISTRY["chat"], mode, seed=0, observe=recorder)
+    return to_perfetto(recorder)
 
 
 def _fleet_trace(name="steady-chat"):
@@ -68,10 +68,6 @@ def test_serving_trace_schema(mode):
     _check_schema(_serving_trace(mode))
 
 
-def test_serving_trace_schema_without_timeline():
-    _check_schema(_serving_trace(with_timeline=False))
-
-
 @pytest.mark.parametrize("name", ["steady-chat", "flash-crowd", "unreliable"])
 def test_fleet_trace_schema(name):
     _check_schema(_fleet_trace(name))
@@ -88,15 +84,19 @@ def test_serving_trace_has_all_pids_and_counters():
     assert any(name.startswith("queue depth") for name in counters)
     assert any(name.startswith("batch tokens") for name in counters)
     assert any(name.startswith("kv utilization") for name in counters)
-    assert any(e["ph"] == "X" for e in events), "no iteration spans"
+    boxes = [e for e in events if e["ph"] == "X"]
+    assert any(e["cat"] == "iteration" for e in boxes), "no iteration boxes"
+    # Coalesced decode stretches render as one box each.
+    stretches = [e for e in boxes if e["cat"] == "stretch"]
+    assert stretches and all(e["name"].startswith("decode x") for e in stretches)
 
 
 def test_prefix_scenario_emits_hit_rate_counter():
     recorder = EventRecorder()
-    result = run_scenario(
+    run_scenario(
         SCENARIO_REGISTRY["shared-system-prompt"], "colocated", seed=0, observe=recorder
     )
-    trace = to_perfetto(recorder, timeline=result.timeline)
+    trace = to_perfetto(recorder)
     rates = [
         e["args"]["value"]
         for e in trace["traceEvents"]
@@ -126,11 +126,11 @@ def test_trace_is_byte_deterministic():
 
 def test_write_perfetto_round_trips(tmp_path):
     recorder = EventRecorder()
-    result = run_scenario(SCENARIO_REGISTRY["chat"], "colocated", seed=0, observe=recorder)
-    path = write_perfetto(recorder, str(tmp_path / "trace.json"), timeline=result.timeline)
+    run_scenario(SCENARIO_REGISTRY["chat"], "colocated", seed=0, observe=recorder)
+    path = write_perfetto(recorder, str(tmp_path / "trace.json"))
     with open(path, encoding="utf-8") as handle:
         loaded = json.load(handle)
-    assert loaded == to_perfetto(recorder, timeline=result.timeline)
+    assert loaded == to_perfetto(recorder)
 
 
 def test_time_unit_must_be_positive():

@@ -10,11 +10,14 @@ batcher on p99 TTFT under the bursty long-prompt scenario.
 import pytest
 
 from repro.model.config import get_model_config
+from repro.obs.events import EventRecorder
 from repro.serving.batcher import BatcherConfig
 from repro.serving.engine import DisaggregatedEngine, ServingConfig, ServingEngine
 from repro.serving.metrics import SLO
 from repro.serving.scenarios import get_scenario, run_scenario
 from repro.serving.workload import poisson_trace, replay_trace
+
+from test_fast_forward_equivalence import iteration_ends
 
 LLAMA_13B = get_model_config("llama-13b")
 
@@ -74,7 +77,6 @@ class TestColocatedEngine:
             assert record.finish_time >= record.first_token_time
         assert result.token_accounting_balanced
         assert result.iterations > 0
-        assert result.timeline.spans  # one span per iteration
 
     def test_deterministic(self):
         trace = poisson_trace(20, 2.0, 1024, 32, seed=3)
@@ -115,14 +117,14 @@ class TestColocatedEngine:
 class TestDisaggregatedEngine:
     def test_handoff_completes_all_requests(self):
         trace = poisson_trace(15, 2.0, 2048, 32, seed=0)
-        config = small_config(num_gpus=2)
+        recorder = EventRecorder()
+        config = small_config(num_gpus=2, observe=recorder)
         result = DisaggregatedEngine(LLAMA_13B, config).run(trace, SLO())
         assert result.mode == "disaggregated"
         assert all(r.finished for r in result.records)
         assert result.token_accounting_balanced
-        assert result.timeline.num_devices == 2
         # Both pools executed iterations.
-        assert {span.device for span in result.timeline.spans} == {0, 1}
+        assert iteration_ends(recorder).keys() == {0, 1}
 
     def test_transfer_delay_is_priced(self):
         config = small_config(num_gpus=2)

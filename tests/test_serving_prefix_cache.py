@@ -22,6 +22,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.model.config import get_model_config
+from repro.obs.events import EventRecorder
 from repro.serving.engine import ServingConfig, ServingEngine
 from repro.serving.metrics import SLO
 from repro.serving.paged_kv import PagedKVAllocator
@@ -29,6 +30,8 @@ from repro.serving.prefix_cache import PrefixCache, prefix_block_keys
 from repro.serving.workload import Request, agentic_tree_trace, shared_prefix_trace
 from repro.fleet.cluster import FleetConfig, FleetEngine
 from repro.fleet.failures import FailureEvent, FailurePlan
+
+from test_fast_forward_equivalence import iteration_ends
 
 LLAMA_13B = get_model_config("llama-13b")
 
@@ -198,7 +201,7 @@ def _engine(prefix_caching=True, **config_kwargs):
     return ServingEngine(LLAMA_13B, config)
 
 
-def serving_digest(result):
+def serving_digest(result, recorder):
     return (
         asdict(result.metrics),
         [
@@ -210,7 +213,7 @@ def serving_digest(result):
         result.tokens_prefilled,
         result.tokens_preempted_requeued,
         result.preemptions,
-        [(s.device, s.start, s.end) for s in result.timeline.spans],
+        iteration_ends(recorder),
     )
 
 
@@ -281,9 +284,10 @@ class TestEngineInvariants:
             turn_tokens=256, output_mean=64, seed=3,
         )
         stripped = [replace(r, prefix=()) for r in trace]
-        with_prefix = _engine(prefix_caching=False).run(trace, SLO())
-        without = _engine(prefix_caching=False).run(stripped, SLO())
-        assert serving_digest(with_prefix) == serving_digest(without)
+        recorders = EventRecorder(), EventRecorder()
+        with_prefix = _engine(prefix_caching=False, observe=recorders[0]).run(trace, SLO())
+        without = _engine(prefix_caching=False, observe=recorders[1]).run(stripped, SLO())
+        assert serving_digest(with_prefix, recorders[0]) == serving_digest(without, recorders[1])
         assert with_prefix.prefix_hit_tokens == 0
 
     def test_cached_blocks_shorten_ttft(self):

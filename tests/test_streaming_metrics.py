@@ -402,13 +402,6 @@ class TestFleetStreamingEndToEnd:
         assert streamed.records == []
         assert not streamed.retain_records and retained.retain_records
 
-    def test_streaming_refuses_timeline_collection(self):
-        config = FleetConfig(initial_replicas=1, retain_records=False)
-        engine = FleetEngine(LLAMA_13B, config)
-        trace = list(replay_trace([(0.0, 64, 4)]))
-        with pytest.raises(ValueError, match="collect_timeline"):
-            engine.run(trace, SLO(), collect_timeline=True)
-
     def test_streaming_rejects_unsorted_trace(self):
         config = FleetConfig(initial_replicas=1, retain_records=False)
         engine = FleetEngine(LLAMA_13B, config)

@@ -15,7 +15,7 @@ invariant:
   debt, which must refill before the next grant);
 * **single-tenant neutrality** — with one tenant (or none) the fair policy
   is *byte-identical* to FCFS: same records, same timestamps, same
-  timeline spans;
+  iteration ends in the event stream;
 * **tenancy present-but-unconfigured is invisible** — attaching an empty
   ``TenancyConfig`` to a pre-tenancy scenario changes nothing, bit for bit;
 * **fast-forward exactness survives fair scheduling** — the coalesced
@@ -42,6 +42,7 @@ from hypothesis import strategies as st
 from repro.fleet.cluster import FleetConfig, FleetEngine
 from repro.fleet.failures import FailureEvent, FailurePlan
 from repro.model.config import get_model_config
+from repro.obs.events import EventRecorder
 from repro.serving.batcher import BatcherConfig, ContinuousBatcher
 from repro.serving.engine import ServingConfig, ServingEngine
 from repro.serving.metrics import SLO
@@ -54,11 +55,13 @@ from repro.serving.tenancy import (
 )
 from repro.serving.workload import merge_traces, poisson_trace, replay_trace
 
+from test_fast_forward_equivalence import assert_fast_matches_naive, iteration_ends
+
 LLAMA_13B = get_model_config("llama-13b")
 
 
-def serving_digest(result):
-    """Everything a ServingResult observed, as one comparable value."""
+def serving_digest(result, recorder):
+    """Everything a ServingResult and its event stream observed."""
     return {
         "mode": result.mode,
         "metrics": asdict(result.metrics),
@@ -72,7 +75,7 @@ def serving_digest(result):
         "tokens_prefilled": result.tokens_prefilled,
         "tokens_preempted_requeued": result.tokens_preempted_requeued,
         "preemptions": result.preemptions,
-        "spans": [(s.device, s.start, s.end) for s in result.timeline.spans],
+        "iteration_ends": iteration_ends(recorder),
     }
 
 
@@ -85,6 +88,19 @@ def _config(policy="fair", tenancy=None, fast_forward=True):
         tenancy=tenancy,
         fast_forward=fast_forward,
     )
+
+
+def _serve(trace, *args, **kwargs):
+    """The digest of serving ``trace`` on ``_config(*args, **kwargs)``."""
+    recorder = EventRecorder()
+    config = replace(_config(*args, **kwargs), observe=recorder)
+    return serving_digest(ServingEngine(LLAMA_13B, config).run(trace, SLO()), recorder)
+
+
+def _serve_scenario(scenario):
+    """The digest of ``scenario`` at seed 0."""
+    recorder = EventRecorder()
+    return serving_digest(run_scenario(scenario, seed=0, observe=recorder), recorder)
 
 
 def _two_tenant_trace(triples_a, triples_b):
@@ -253,19 +269,16 @@ class TestSingleTenantNeutrality:
     @given(triples=_triples, tagged=st.booleans())
     def test_fair_is_fcfs_with_one_tenant(self, triples, tagged):
         trace = replay_trace(sorted(triples), tenant="solo" if tagged else None)
-        fair = ServingEngine(LLAMA_13B, _config("fair")).run(trace, SLO())
-        fcfs = ServingEngine(LLAMA_13B, _config("fcfs")).run(trace, SLO())
-        assert serving_digest(fair) == serving_digest(fcfs)
+        assert _serve(trace, "fair") == _serve(trace, "fcfs")
 
     def test_fair_is_fcfs_under_preemption_pressure(self):
         # Oversubscribe the 1-GPU KV pool so preempted requests re-queue:
         # the appendleft'd victims must keep their head-of-line claim under
         # the fair key exactly as they do under FCFS.
         trace = replay_trace([(0.0, 4096, 2048) for _ in range(12)], tenant="solo")
-        fair = ServingEngine(LLAMA_13B, _config("fair")).run(trace, SLO())
-        fcfs = ServingEngine(LLAMA_13B, _config("fcfs")).run(trace, SLO())
-        assert fair.preemptions > 0
-        assert serving_digest(fair) == serving_digest(fcfs)
+        fair = _serve(trace, "fair")
+        assert fair["preemptions"] > 0
+        assert fair == _serve(trace, "fcfs")
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +290,8 @@ class TestSingleTenantNeutrality:
 def test_empty_tenancy_config_is_byte_invisible(scenario_name):
     """An empty TenancyConfig on a pre-tenancy scenario changes nothing."""
     scenario = get_scenario(scenario_name)
-    baseline = run_scenario(scenario, seed=0)
-    with_tenancy = run_scenario(
-        replace(scenario, tenancy=TenancyConfig()), seed=0
-    )
-    assert serving_digest(with_tenancy) == serving_digest(baseline)
+    baseline = _serve_scenario(scenario)
+    assert _serve_scenario(replace(scenario, tenancy=TenancyConfig())) == baseline
 
 
 def test_tenant_tags_alone_do_not_change_scheduling():
@@ -290,9 +300,7 @@ def test_tenant_tags_alone_do_not_change_scheduling():
     tagged = replay_trace(
         [(0.1 * i, 512 + 64 * i, 32) for i in range(20)], tenant="acme"
     )
-    base = ServingEngine(LLAMA_13B, _config("fcfs")).run(plain, SLO())
-    run = ServingEngine(LLAMA_13B, _config("fcfs")).run(tagged, SLO())
-    base_digest, run_digest = serving_digest(base), serving_digest(run)
+    base_digest, run_digest = _serve(plain, "fcfs"), _serve(tagged, "fcfs")
     assert run_digest.pop("tenant_metrics").keys() == {"acme"}
     assert base_digest.pop("tenant_metrics") == {}
     assert run_digest == base_digest
@@ -310,11 +318,9 @@ class TestFastForwardUnderFair:
             TenantSpec("acme", slo_class=get_slo_class("interactive"), weight=2.0),
             TenantSpec("zeta", slo_class=get_slo_class("batch")),
         )
-        fast = ServingEngine(LLAMA_13B, _config(tenancy=tenancy)).run(trace, SLO())
-        naive = ServingEngine(
-            LLAMA_13B, _config(tenancy=tenancy, fast_forward=False)
-        ).run(trace, SLO())
-        assert serving_digest(fast) == serving_digest(naive)
+        fast = _serve(trace, tenancy=tenancy)
+        naive = _serve(trace, tenancy=tenancy, fast_forward=False)
+        assert_fast_matches_naive(fast, naive)
 
 
 # ---------------------------------------------------------------------------
