@@ -32,7 +32,7 @@ counts, and the memory tracker reproduces the byte counts).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..model.costs import PassKind
 from ..schedules.base import Pass, PipelineSchedule
@@ -132,42 +132,38 @@ def accumulated_slice_units(config: SlimPipeScheduleConfig, rank: int = 0) -> in
     return warmup_units(config, rank)
 
 
-def _forward_unit(config: SlimPipeScheduleConfig, rank: int, unit: int) -> Tuple[int, int, int]:
-    """Map forward unit ``unit`` on ``rank`` to ``(microbatch, slice, stage)``.
+def _forward_stream(config: SlimPipeScheduleConfig, rank: int) -> List[Pass]:
+    """Rank ``rank``'s forward passes in execution order.
 
     Slices (across the whole microbatch stream) are grouped into blocks of
     ``p``; each block visits every chunk in order before the next block
     starts, exactly as the interleaved rows of Figure 5.
     """
     p, v, n = config.p, config.v, config.n
-    block = unit // (p * v)
-    within = unit % (p * v)
-    chunk = within // p
-    pos = within % p
-    global_slice = block * p + pos
-    microbatch = global_slice // n
-    slice_index = global_slice % n
-    stage = chunk * p + rank
-    return microbatch, slice_index, stage
+    forward = PassKind.FORWARD
+    return [
+        Pass(forward, global_slice // n, chunk * p + rank, rank, global_slice % n, n)
+        for block in range(config.units_per_device // (p * v))
+        for chunk in range(v)
+        for global_slice in range(block * p, block * p + p)
+    ]
 
 
-def _backward_unit(config: SlimPipeScheduleConfig, rank: int, unit: int) -> Tuple[int, int, int]:
-    """Map backward unit ``unit`` on ``rank`` to ``(microbatch, slice, stage)``.
+def _backward_stream(config: SlimPipeScheduleConfig, rank: int) -> List[Pass]:
+    """Rank ``rank``'s backward passes in execution order.
 
     The backward stream mirrors the forward stream: chunks are visited in
     reverse (deepest first) and slices within each microbatch in reverse
     order, so the last slice produced is the first consumed (Section 4.1.2).
     """
     p, v, n = config.p, config.v, config.n
-    block = unit // (p * v)
-    within = unit % (p * v)
-    chunk = v - 1 - within // p
-    pos = within % p
-    forward_rank_order = block * p + pos
-    microbatch = forward_rank_order // n
-    slice_index = n - 1 - forward_rank_order % n
-    stage = chunk * p + rank
-    return microbatch, slice_index, stage
+    backward = PassKind.BACKWARD
+    return [
+        Pass(backward, position // n, chunk * p + rank, rank, n - 1 - position % n, n)
+        for block in range(config.units_per_device // (p * v))
+        for chunk in reversed(range(v))
+        for position in range(block * p, block * p + p)
+    ]
 
 
 def build_slimpipe_schedule(
@@ -189,54 +185,19 @@ def build_slimpipe_schedule(
         num_slices=num_slices,
         num_stages_per_device=num_stages_per_device,
     )
-    total_units = config.units_per_device
     device_orders: List[List[Pass]] = []
     for rank in range(config.p):
         warmup = warmup_units(config, rank)
-        order: List[Pass] = []
-        forward_unit = 0
-        backward_unit = 0
-
-        def emit_forward(unit: int) -> None:
-            mb, sl, stage = _forward_unit(config, rank, unit)
-            order.append(
-                Pass(
-                    kind=PassKind.FORWARD,
-                    microbatch=mb,
-                    stage=stage,
-                    device=rank,
-                    slice_index=sl,
-                    num_slices=config.n,
-                )
-            )
-
-        def emit_backward(unit: int) -> None:
-            mb, sl, stage = _backward_unit(config, rank, unit)
-            order.append(
-                Pass(
-                    kind=PassKind.BACKWARD,
-                    microbatch=mb,
-                    stage=stage,
-                    device=rank,
-                    slice_index=sl,
-                    num_slices=config.n,
-                )
-            )
-
-        for _ in range(warmup):
-            emit_forward(forward_unit)
-            forward_unit += 1
+        forwards = _forward_stream(config, rank)
+        backwards = _backward_stream(config, rank)
         # Steady phase: one backward, one forward — backward first because the
-        # warm-up already placed the extra forwards ahead (Figure 4).
-        while forward_unit < total_units:
-            emit_backward(backward_unit)
-            backward_unit += 1
-            emit_forward(forward_unit)
-            forward_unit += 1
-        # Cool-down: drain the remaining backwards.
-        while backward_unit < total_units:
-            emit_backward(backward_unit)
-            backward_unit += 1
+        # warm-up already placed the extra forwards ahead (Figure 4); the
+        # cool-down then drains the remaining backwards.
+        steady = len(forwards) - warmup
+        order = forwards[:warmup]
+        for pair in zip(backwards, forwards[warmup:]):
+            order += pair
+        order += backwards[steady:]
         device_orders.append(order)
 
     schedule = PipelineSchedule(

@@ -19,18 +19,21 @@ Dependencies between passes are derived structurally by
   slices' keys/values through causal attention);
 * a weight-gradient pass needs its matching input-gradient pass.
 
-The discrete-event simulator in :mod:`repro.sim` executes any schedule that
-satisfies these dependencies and reports timelines, bubbles and memory.
+:meth:`PipelineSchedule.compiled` numbers the passes ``0..n-1`` and resolves
+those dependencies to ids once, from ``(kind, microbatch, stage, slice)``
+keys; validation and the discrete-event simulator in :mod:`repro.sim` read
+that form, which is rebuilt whenever the pass lists change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..model.costs import PassKind
 
-__all__ = ["Pass", "PipelineSchedule", "ScheduleValidationError"]
+__all__ = ["CompiledSchedule", "Pass", "PipelineSchedule", "ScheduleValidationError"]
 
 
 class ScheduleValidationError(ValueError):
@@ -110,6 +113,98 @@ class Pass:
         return f"{self.kind.value}[mb{self.microbatch},s{self.stage}{slice_part}]@dev{self.device}"
 
 
+@dataclass(frozen=True)
+class CompiledSchedule:
+    """A schedule's passes as integer ids, with dependencies resolved to ids.
+
+    Ids run device by device in list order: device ``d`` executes ids
+    ``range(device_ends[d - 1], device_ends[d])`` (from 0 for device 0).
+    ``dependencies[i]`` lists the ids of pass ``i``'s prerequisites in
+    :meth:`PipelineSchedule.dependencies` order; a prerequisite the schedule
+    lacks gets the id :attr:`missing` (one past the last pass).  ``source``
+    is the schedule state it was compiled from.
+    """
+
+    source: tuple
+    passes: Tuple[Pass, ...]
+    device_ends: Tuple[int, ...]
+    dependencies: Tuple[Tuple[int, ...], ...]
+    #: Pass id by kind, then by ``(microbatch, stage, slice)`` work key.
+    ids: Dict[PassKind, Dict[Tuple[int, int, Optional[int]], int]]
+    #: Device of each stage's first pass.
+    stage_device: Dict[int, int]
+    #: Why the stage → device map is inconsistent, or ``None``.
+    stage_conflict: Optional[str]
+
+    @property
+    def missing(self) -> int:
+        return len(self.passes)
+
+
+def _compile(source: tuple) -> CompiledSchedule:
+    """Number the passes and resolve dependencies by (kind, work key) lookups."""
+    num_stages, splits_backward, orders = source
+    passes = tuple(chain.from_iterable(orders))
+    forward, combined = PassKind.FORWARD, PassKind.BACKWARD
+    input_grad, weight_grad = PassKind.BACKWARD_INPUT, PassKind.BACKWARD_WEIGHT
+    forward_ids, combined_ids, input_ids, weight_ids = {}, {}, {}, {}
+    stage_device: Dict[int, int] = {}
+    stage_conflict = None
+    keys = []
+    # Kinds are told apart by identity: PassKind hashes in Python code.
+    for i, p in enumerate(passes):
+        key = (p.microbatch, p.stage, p.slice_index)
+        keys.append(key)
+        kind = p.kind
+        if kind is forward:
+            forward_ids[key] = i
+        elif kind is combined:
+            combined_ids[key] = i
+        elif kind is input_grad:
+            input_ids[key] = i
+        else:
+            weight_ids[key] = i
+        existing = stage_device.setdefault(p.stage, p.device)
+        if existing != p.device and stage_conflict is None:
+            stage_conflict = f"stage {p.stage} appears on devices {existing} and {p.device}"
+
+    missing = len(passes)
+    last_stage = num_stages - 1
+    forward_id = forward_ids.get
+    grad_id = (input_ids if splits_backward else combined_ids).get
+    dependencies = []
+    for p, key in zip(passes, keys):
+        mb, stage, sl = key
+        kind = p.kind
+        if kind is forward:
+            deps = (forward_id((mb, stage - 1, sl), missing),) if stage > 0 else ()
+            if sl is not None and sl > 0:
+                deps += (forward_id((mb, stage, sl - 1), missing),)
+        elif kind is weight_grad:
+            deps = (input_ids.get(key, missing),)
+        else:
+            deps = (forward_id(key, missing),)
+            if stage < last_stage:
+                deps += (grad_id((mb, stage + 1, sl), missing),)
+            if sl is not None and sl < p.num_slices - 1:
+                deps += (grad_id((mb, stage, sl + 1), missing),)
+        dependencies.append(deps)
+    return CompiledSchedule(
+        source=source,
+        passes=passes,
+        device_ends=tuple(accumulate(map(len, orders))),
+        dependencies=tuple(dependencies),
+        ids={
+            forward: forward_ids,
+            combined: combined_ids,
+            input_grad: input_ids,
+            weight_grad: weight_ids,
+        },
+        stage_device=stage_device,
+        stage_conflict=stage_conflict,
+    )
+
+
 @dataclass
 class PipelineSchedule:
     """An ordered per-device list of passes plus the structural metadata."""
@@ -122,11 +217,8 @@ class PipelineSchedule:
     device_orders: List[List[Pass]]
     splits_backward: bool = False
     metadata: Dict[str, object] = field(default_factory=dict)
-    #: Lazily built stage → device map (schedules are immutable once built,
-    #: and dependency resolution calls this for every pass).
-    _stage_device_cache: Optional[Dict[int, int]] = field(
-        default=None, repr=False, compare=False
-    )
+    #: The last :meth:`compiled` form; reused while its source is current.
+    _compiled: Optional[CompiledSchedule] = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -144,36 +236,34 @@ class PipelineSchedule:
 
     def device_of_stage(self, stage: int) -> int:
         """Device executing a given stage (derived from the passes)."""
-        mapping = self.stage_to_device()
         try:
-            return mapping[stage]
+            return self.stage_to_device()[stage]
         except KeyError:
             raise ScheduleValidationError(f"stage {stage} never appears in the schedule")
 
     def stage_to_device(self) -> Dict[int, int]:
-        """Recompute (and re-cache) the stage → device map, checking consistency."""
-        mapping: Dict[int, int] = {}
-        for p in self.all_passes():
-            existing = mapping.get(p.stage)
-            if existing is None:
-                mapping[p.stage] = p.device
-            elif existing != p.device:
-                raise ScheduleValidationError(
-                    f"stage {p.stage} appears on devices {existing} and {p.device}"
-                )
-        self._stage_device_cache = mapping
-        return mapping
+        """Stage → device map of the current pass lists, checking consistency."""
+        compiled = self.compiled()
+        if compiled.stage_conflict is not None:
+            raise ScheduleValidationError(compiled.stage_conflict)
+        return compiled.stage_device
 
-    def _stage_device_map(self) -> Dict[int, int]:
-        """Cached stage → device map for the dependency hot path.
+    def compiled(self) -> CompiledSchedule:
+        """The integer-id form of the current pass lists (see :class:`CompiledSchedule`).
 
-        Schedules are effectively immutable once built; callers that mutate
-        ``device_orders`` (tests, experiments) should call
-        :meth:`stage_to_device` or :meth:`validate` to refresh the cache.
+        Cached, and rebuilt whenever ``device_orders``, ``num_stages`` or
+        ``splits_backward`` no longer match what it was compiled from, so a
+        schedule mutated after it was built is never read stale.
         """
-        if self._stage_device_cache is None:
-            return self.stage_to_device()
-        return self._stage_device_cache
+        source = (
+            self.num_stages,
+            self.splits_backward,
+            tuple(map(tuple, self.device_orders)),
+        )
+        compiled = self._compiled
+        if compiled is None or compiled.source != source:
+            compiled = self._compiled = _compile(source)
+        return compiled
 
     def total_passes(self) -> int:
         return sum(len(order) for order in self.device_orders)
@@ -186,9 +276,13 @@ class PipelineSchedule:
         return (PassKind.BACKWARD_INPUT,) if self.splits_backward else (PassKind.BACKWARD,)
 
     def dependencies(self, p: Pass) -> List[Pass]:
-        """Structural prerequisites of pass ``p`` (see the module docstring)."""
+        """Structural prerequisites of pass ``p`` (see the module docstring).
+
+        Each call checks the stage map against the current pass lists, so
+        it costs O(passes); bulk readers use :meth:`compiled` instead.
+        """
         deps: List[Pass] = []
-        stage_device = self._stage_device_map()
+        stage_device = self.stage_to_device()
         grad_kind = self.backward_kinds()[0]
 
         def make(kind: PassKind, stage: int, slice_index: Optional[int], microbatch: int) -> Pass:
@@ -234,71 +328,86 @@ class PipelineSchedule:
             raise ScheduleValidationError(
                 f"expected {self.num_devices} device lists, got {len(self.device_orders)}"
             )
+        num_stages, num_microbatches = self.num_stages, self.num_microbatches
+        num_slices = self.num_slices
         for device, order in enumerate(self.device_orders):
             for p in order:
                 if p.device != device:
                     raise ScheduleValidationError(
                         f"pass {p.describe()} stored in device {device}'s list"
                     )
-                if p.stage >= self.num_stages:
+                if p.stage >= num_stages:
                     raise ScheduleValidationError(
-                        f"pass {p.describe()} references stage >= {self.num_stages}"
+                        f"pass {p.describe()} references stage >= {num_stages}"
                     )
-                if p.microbatch >= self.num_microbatches:
+                if p.microbatch >= num_microbatches:
                     raise ScheduleValidationError(
-                        f"pass {p.describe()} references microbatch >= {self.num_microbatches}"
+                        f"pass {p.describe()} references microbatch >= {num_microbatches}"
                     )
-                if p.num_slices != self.num_slices:
+                if p.num_slices != num_slices:
                     raise ScheduleValidationError(
-                        f"pass {p.describe()} disagrees with schedule num_slices={self.num_slices}"
+                        f"pass {p.describe()} disagrees with schedule num_slices={num_slices}"
                     )
 
         # Exactly-once bookkeeping -------------------------------------
-        seen: Dict[Tuple[PassKind, Tuple[int, int, Optional[int]]], int] = {}
-        for p in self.all_passes():
-            key = (p.kind, p.work_key)
-            seen[key] = seen.get(key, 0) + 1
-            if seen[key] > 1:
-                raise ScheduleValidationError(f"duplicate pass {p.describe()}")
+        compiled = self.compiled()
+        passes, ids = compiled.passes, compiled.ids
+        # The id tables hold one entry per key: fewer than passes = duplicates.
+        if sum(map(len, ids.values())) < len(passes):
+            seen = set()
+            for p in passes:
+                key = (p.kind, p.work_key)
+                if key in seen:
+                    raise ScheduleValidationError(f"duplicate pass {p.describe()}")
+                seen.add(key)
 
-        uses_slices = any(p.slice_index is not None for p in self.all_passes())
-        slices = list(range(self.num_slices)) if uses_slices else [None]
-        expected_backward = (
-            (PassKind.BACKWARD_INPUT, PassKind.BACKWARD_WEIGHT)
-            if self.splits_backward
-            else (PassKind.BACKWARD,)
-        )
-        for mb in range(self.num_microbatches):
-            for stage in range(self.num_stages):
+        uses_slices = any(p.slice_index is not None for p in passes)
+        slices = list(range(num_slices)) if uses_slices else [None]
+        forward_ids = ids[PassKind.FORWARD]
+        expected_backward = [
+            (kind, ids[kind])
+            for kind in (
+                (PassKind.BACKWARD_INPUT, PassKind.BACKWARD_WEIGHT)
+                if self.splits_backward
+                else (PassKind.BACKWARD,)
+            )
+        ]
+        for mb in range(num_microbatches):
+            for stage in range(num_stages):
                 for sl in slices:
                     work = (mb, stage, sl)
-                    if (PassKind.FORWARD, work) not in seen:
+                    if work not in forward_ids:
                         raise ScheduleValidationError(f"missing forward for {work}")
-                    for kind in expected_backward:
-                        if (kind, work) not in seen:
+                    for kind, kind_ids in expected_backward:
+                        if work not in kind_ids:
                             raise ScheduleValidationError(
                                 f"missing {kind.value} for {work}"
                             )
 
         # Per-device forward-before-backward ----------------------------
-        for device, order in enumerate(self.device_orders):
-            finished_forward = set()
-            for p in order:
-                if p.kind is PassKind.FORWARD:
-                    finished_forward.add(p.work_key)
-                elif p.is_backward and p.work_key not in finished_forward:
-                    raise ScheduleValidationError(
-                        f"{p.describe()} scheduled before its forward on device {device}"
-                    )
+        # Passes are unique here, so a backward's forward ran before it on
+        # its device exactly when the forward's id lies in between.
+        first = 0
+        for device, end in enumerate(compiled.device_ends):
+            for i in range(first, end):
+                p = passes[i]
+                if p.kind is not PassKind.FORWARD:
+                    forward_id = forward_ids.get((p.microbatch, p.stage, p.slice_index), -1)
+                    if not first <= forward_id < i:
+                        raise ScheduleValidationError(
+                            f"{p.describe()} scheduled before its forward on device {device}"
+                        )
+            first = end
 
         # Dependencies must exist ---------------------------------------
-        all_keys = {(p.kind, p.work_key) for p in self.all_passes()}
-        for p in self.all_passes():
-            for dep in self.dependencies(p):
-                if (dep.kind, dep.work_key) not in all_keys:
-                    raise ScheduleValidationError(
-                        f"{p.describe()} depends on missing pass {dep.describe()}"
-                    )
+        self.stage_to_device()  # a stage split across devices is reported first
+        missing = compiled.missing
+        for p, deps in zip(passes, compiled.dependencies):
+            if missing in deps:
+                dep = self.dependencies(p)[deps.index(missing)]
+                raise ScheduleValidationError(
+                    f"{p.describe()} depends on missing pass {dep.describe()}"
+                )
 
     # ------------------------------------------------------------------
     def warmup_forward_counts(self) -> List[int]:

@@ -90,44 +90,42 @@ def build_zero_bubble_v_schedule(
         v_shape_stage_of(chunk, rank, p): rank for rank in range(p) for chunk in (0, 1)
     }
 
-    def make_pass(kind: PassKind, mb: int, stage: int) -> Pass:
-        return Pass(kind, mb, stage, stage_device[stage])
+    # Passes are keyed ``(priority, microbatch, stage)``: the priority tells
+    # the three kinds apart and hashes faster than the kind itself.
+    forward = _PRIORITY[PassKind.FORWARD]
+    input_grad = _PRIORITY[PassKind.BACKWARD_INPUT]
 
-    # All passes that must be scheduled, grouped per device ------------------
-    pending: List[List[Pass]] = [[] for _ in range(p)]
+    def dependencies(priority: int, mb: int, stage: int) -> Tuple[Tuple[int, int, int], ...]:
+        if priority == forward:
+            return ((forward, mb, stage - 1),) if stage > 0 else ()
+        if priority == input_grad:
+            if stage < num_stages - 1:
+                return ((forward, mb, stage), (input_grad, mb, stage + 1))
+            return ((forward, mb, stage),)
+        return ((input_grad, mb, stage),)
+
+    # All passes that must be scheduled, grouped per device, with their
+    # priority and dependency keys -----------------------------------------
+    pending: List[List[Tuple[Pass, int, tuple]]] = [[] for _ in range(p)]
     for mb in range(m):
         for stage in range(num_stages):
             for kind in (PassKind.FORWARD, PassKind.BACKWARD_INPUT, PassKind.BACKWARD_WEIGHT):
-                work = make_pass(kind, mb, stage)
-                pending[work.device].append(work)
+                work = Pass(kind, mb, stage, stage_device[stage])
+                priority = _PRIORITY[kind]
+                pending[work.device].append((work, priority, dependencies(priority, mb, stage)))
 
-    completion: Dict[Tuple[PassKind, Tuple[int, int, Optional[int]]], float] = {}
+    completion: Dict[Tuple[int, int, int], float] = {}
     device_time = [0.0] * p
     in_flight = [0] * p
     device_orders: List[List[Pass]] = [[] for _ in range(p)]
-
-    def dependencies(work: Pass) -> List[Pass]:
-        deps: List[Pass] = []
-        if work.kind is PassKind.FORWARD:
-            if work.stage > 0:
-                deps.append(make_pass(PassKind.FORWARD, work.microbatch, work.stage - 1))
-        elif work.kind is PassKind.BACKWARD_INPUT:
-            deps.append(make_pass(PassKind.FORWARD, work.microbatch, work.stage))
-            if work.stage < num_stages - 1:
-                deps.append(
-                    make_pass(PassKind.BACKWARD_INPUT, work.microbatch, work.stage + 1)
-                )
-        else:  # BACKWARD_WEIGHT
-            deps.append(make_pass(PassKind.BACKWARD_INPUT, work.microbatch, work.stage))
-        return deps
 
     total = sum(len(items) for items in pending)
     scheduled = 0
     while scheduled < total:
         best: Optional[Tuple[float, int, int, int, int, int]] = None  # est, prio, -stage, mb, dev, idx
         for device in range(p):
-            for index, work in enumerate(pending[device]):
-                if work.kind is PassKind.FORWARD:
+            for index, (work, priority, deps) in enumerate(pending[device]):
+                if priority == forward:
                     # Respect the activation cap, and keep the final slot
                     # reserved for up-leg (second chunk) forwards so the
                     # backward chain that starts at the V's last stage can
@@ -141,36 +139,34 @@ def build_zero_bubble_v_schedule(
                     ):
                         continue
                 ready = device_time[device]
-                blocked = False
-                for dep in dependencies(work):
-                    key = (dep.kind, dep.work_key)
-                    if key not in completion:
-                        blocked = True
+                for dep in deps:
+                    finish = completion.get(dep)
+                    if finish is None:
                         break
-                    ready = max(ready, completion[key])
-                if blocked:
-                    continue
-                candidate = (
-                    ready,
-                    _PRIORITY[work.kind],
-                    -work.stage,  # push in-flight microbatches deeper first
-                    work.microbatch,
-                    device,
-                    index,
-                )
-                if best is None or candidate < best:
-                    best = candidate
+                    if finish > ready:
+                        ready = finish
+                else:
+                    candidate = (
+                        ready,
+                        priority,
+                        -work.stage,  # push in-flight microbatches deeper first
+                        work.microbatch,
+                        device,
+                        index,
+                    )
+                    if best is None or candidate < best:
+                        best = candidate
         if best is None:
             raise ScheduleValidationError(
                 f"greedy zero-bubble scheduler deadlocked with {total - scheduled} "
                 "passes remaining; consider raising memory_limit_units"
             )
         ready, _, _, _, device, index = best
-        work = pending[device].pop(index)
+        work, priority, _ = pending[device].pop(index)
         start = max(ready, device_time[device])
         finish = start + duration_fn(work)
         device_time[device] = finish
-        completion[(work.kind, work.work_key)] = finish
+        completion[(priority, work.microbatch, work.stage)] = finish
         device_orders[device].append(work)
         if work.kind is PassKind.FORWARD:
             in_flight[device] += 1

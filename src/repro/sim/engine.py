@@ -7,15 +7,27 @@ its cross-device transfer (if any) has arrived.  The engine therefore turns a
 :class:`~repro.sim.timeline.Timeline`, from which bubbles, makespans and MFU
 are computed.
 
+The engine runs on the schedule's compiled form
+(:meth:`~repro.schedules.base.PipelineSchedule.compiled`): integer pass ids
+with their dependency ids resolved once.  It prices every pass's duration
+and every cross-device edge's transfer delay once, up front, and keeps a
+flat list of finish times by id.  Devices are visited round robin (device 0
+to ``p - 1``, each advancing as far as its dependencies allow), and spans
+are appended in that order, which fixes the order ``Timeline.busy_time``
+sums them in.  ``tests/test_sim_compiled_oracle.py`` keeps the earlier loop
+over ``Pass`` objects as the oracle and requires the same spans, bit for bit
+and in the same order.
+
 The engine is deliberately conservative: if the schedule can never make
-progress (a dependency appears *behind* a blocked pass), it raises
-:class:`DeadlockError` rather than silently reordering work — this doubles as
-an executability check for every schedule builder in the test suite.
+progress (a dependency appears *behind* a blocked pass, or is missing), it
+raises :class:`DeadlockError` rather than silently reordering work — this
+doubles as an executability check for every schedule builder in the test
+suite.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from ..schedules.base import Pass, PipelineSchedule
 from .timeline import Timeline, TimelineSpan
@@ -35,7 +47,11 @@ class PassCostProvider(Protocol):
         ...
 
     def comm_delay(self, producer: Pass, consumer: Pass) -> float:
-        """Transfer delay between a dependency and its consumer, in seconds."""
+        """Transfer delay between a dependency and its consumer, in seconds.
+
+        Only asked for a dependency on another device: a dependency on the
+        consumer's own device has no transfer.
+        """
         ...
 
 
@@ -82,46 +98,71 @@ class SimulationEngine:
         self.costs = costs
 
     def run(self) -> Timeline:
-        schedule = self.schedule
-        orders = schedule.device_orders
-        num_devices = schedule.num_devices
-        pointers = [0] * num_devices
-        device_time = [0.0] * num_devices
-        finished: Dict[Tuple, Tuple[float, Pass]] = {}
-        timeline = Timeline(num_devices=num_devices)
-        remaining = schedule.total_passes()
+        compiled = self.schedule.compiled()
+        passes = compiled.passes
+        missing = compiled.missing
+        duration, comm_delay = self.costs.duration, self.costs.comm_delay
+        durations = [duration(work) for work in passes]
+        # Transfer delays aligned with ``dependencies``.  A dependency on the
+        # same device has no transfer; a missing one never finishes, so its
+        # pass blocks as on unfinished work.  Equal tuples are shared, so the
+        # delays add almost no memory.
+        dependencies = compiled.dependencies
+        delays = []
+        shared: Dict[Tuple[float, ...], Tuple[float, ...]] = {}
+        for work, deps in zip(passes, dependencies):
+            device = work.device
+            pass_delays = tuple([
+                0.0 if dep == missing or passes[dep].device == device
+                else comm_delay(passes[dep], work)
+                for dep in deps
+            ])
+            delays.append(shared.setdefault(pass_delays, pass_delays))
+        # Finish time by id; the ``missing`` slot never gets one.
+        finish: List[Optional[float]] = [None] * (missing + 1)
 
+        num_devices = self.schedule.num_devices
+        device_ends = compiled.device_ends
+        pointers = [0, *device_ends[:-1]]
+        device_time = [0.0] * num_devices
+        timeline = Timeline(num_devices=num_devices)
+        spans = timeline.spans
+        remaining = len(passes)
+
+        # Round robin over the devices, each advancing as far as it can:
+        # the span order (which ``Timeline.busy_time`` sums in) is fixed.
         while remaining > 0:
             progressed = False
             for device in range(num_devices):
-                while pointers[device] < len(orders[device]):
-                    work = orders[device][pointers[device]]
-                    ready_time = device_time[device]
-                    blocked = False
-                    for dep in schedule.dependencies(work):
-                        key = (dep.kind, dep.work_key)
-                        if key not in finished:
-                            blocked = True
+                first = index = pointers[device]
+                end = device_ends[device]
+                now = device_time[device]
+                while index < end:
+                    start = now
+                    for dep, delay in zip(dependencies[index], delays[index]):
+                        dep_finish = finish[dep]
+                        if dep_finish is None:
                             break
-                        dep_finish, dep_pass = finished[key]
-                        ready_time = max(
-                            ready_time, dep_finish + self.costs.comm_delay(dep_pass, work)
-                        )
-                    if blocked:
-                        break
-                    start = ready_time
-                    end = start + self.costs.duration(work)
-                    timeline.add(TimelineSpan(device=device, work=work, start=start, end=end))
-                    finished[(work.kind, work.work_key)] = (end, work)
-                    device_time[device] = end
-                    pointers[device] += 1
-                    remaining -= 1
+                        dep_finish = dep_finish + delay
+                        if dep_finish > start:
+                            start = dep_finish
+                    else:
+                        now = start + durations[index]
+                        spans.append(TimelineSpan(device, passes[index], start, now))
+                        finish[index] = now
+                        index += 1
+                        continue
+                    break
+                if index != first:
+                    pointers[device] = index
+                    device_time[device] = now
+                    remaining -= index - first
                     progressed = True
             if not progressed:
                 stuck = [
-                    orders[d][pointers[d]].describe()
+                    passes[pointers[d]].describe()
                     for d in range(num_devices)
-                    if pointers[d] < len(orders[d])
+                    if pointers[d] < device_ends[d]
                 ]
                 raise DeadlockError(
                     "schedule cannot make progress; blocked passes: " + ", ".join(stuck)

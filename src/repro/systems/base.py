@@ -17,7 +17,9 @@ Every system implements
 and inherits :meth:`TrainingSystem.best_configuration`, the grid search that
 keeps the feasible estimate with the highest MFU.  A system may also
 override :meth:`TrainingSystem.mfu_bound`, a sound upper bound on a
-candidate's MFU that lets the search skip candidates that cannot win.  The
+candidate's MFU that lets the search skip candidates that cannot win, and
+:meth:`TrainingSystem.ranking_bound`, a cheaper and looser bound that ranks
+candidates until the exact one is needed.  The
 search shares one memoizing :class:`~repro.systems.estimator.AnalyticEstimator`
 across its candidates (:meth:`TrainingSystem.estimator`); a direct
 ``evaluate`` call outside a search gets a fresh one.  Infeasibility is
@@ -28,10 +30,11 @@ empty (e.g. the batch is too small for the required data parallelism).
 
 from __future__ import annotations
 
+import heapq
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from ..hardware.topology import ClusterTopology
 from ..model.config import ModelConfig
@@ -136,6 +139,23 @@ class TrainingSystem(ABC):
         """
         return math.inf
 
+    def ranking_bound(
+        self,
+        model: ModelConfig,
+        cluster: ClusterTopology,
+        workload: WorkloadConfig,
+        parallel: ParallelConfig,
+    ) -> Optional[Tuple[float, Optional[Callable[[], float]]]]:
+        """A bound to rank candidates by, and the step that tightens it to :meth:`mfu_bound`.
+
+        ``None`` exactly when :meth:`mfu_bound` is ``None``; otherwise
+        ``(bound, refine)`` with ``bound >= mfu_bound(...)`` and ``refine()``
+        returning ``mfu_bound(...)``, or ``refine`` ``None`` when ``bound``
+        already is it (the default).
+        """
+        bound = self.mfu_bound(model, cluster, workload, parallel)
+        return None if bound is None else (bound, None)
+
     # ------------------------------------------------------------------
     def best_configuration(
         self,
@@ -152,25 +172,33 @@ class TrainingSystem(ABC):
         incumbent only if it comes earlier in enumeration order, so the
         result equals the exhaustive first-max.  Nothing is pruned before a
         feasible incumbent exists, so the ``oom`` / ``no-configuration``
-        outcome is the exhaustive one too.  Every candidate is priced by one
-        estimator, whose memo ends with the search.
+        outcome is the exhaustive one too.  The queue holds each candidate
+        under its :meth:`ranking_bound` until it reaches the head, where it
+        is refined and re-queued under its exact bound, so only candidates
+        whose looser bound could still win pay for the exact one.  Every
+        candidate is priced by one estimator, whose memo ends with the
+        search.
         """
         best: Optional[SystemEstimate] = None
         best_index = -1
         saw_oom = False
         self._search_estimator = AnalyticEstimator(model, cluster, self.settings)
         try:
-            ranked = []
+            queue = []
             for index, parallel in enumerate(self.candidate_configs(model, cluster, workload)):
-                bound = self.mfu_bound(model, cluster, workload, parallel)
-                if bound is None:
+                ranked = self.ranking_bound(model, cluster, workload, parallel)
+                if ranked is None:
                     saw_oom = True
                 else:
-                    ranked.append((-bound, index, parallel))
-            ranked.sort()
-            for negative_bound, index, parallel in ranked:
+                    queue.append((-ranked[0], index, ranked[1], parallel))
+            heapq.heapify(queue)
+            while queue:
+                negative_bound, index, refine, parallel = heapq.heappop(queue)
                 if best is not None and -negative_bound < best.mfu:
                     break
+                if refine is not None:
+                    heapq.heappush(queue, (-refine(), index, None, parallel))
+                    continue
                 estimate = self.evaluate(model, cluster, workload, parallel)
                 if not estimate.feasible:
                     saw_oom = saw_oom or estimate.reason == INFEASIBLE_OOM

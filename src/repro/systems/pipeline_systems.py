@@ -21,13 +21,16 @@ The SlimPipe system can additionally invoke the activation-offload planner
 
 Both price the iteration through one timing formula (``_timing``), which
 also gives the grid search its MFU upper bound (``mfu_bound``): the same
-timing at no recomputation and no offload overhead.
+timing at no recomputation and no offload overhead.  The search ranks
+candidates by a cheaper, looser bound first (``ranking_bound``): the
+compute alone, with no communication, bubble or DP synchronisation.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Tuple
+from typing import Callable, Iterable, NamedTuple, Optional, Tuple
 
 from ..core.offload import OffloadPlanner
 from ..hardware.topology import ClusterTopology
@@ -177,7 +180,6 @@ class _PipelineSystem(TrainingSystem):
 
         estimator = self.estimator(model, cluster)
         usable = estimator.usable_memory_bytes()
-        sequence = workload.microbatch_tokens()
         vocab_shards = self._vocab_shards(parallel)
         model_states = estimator.model_state_bytes(parallel, vocab_parallel=self.vocab_parallel)
 
@@ -200,13 +202,8 @@ class _PipelineSystem(TrainingSystem):
             candidate = self._memory_breakdown(
                 estimator, parallel, workload, rescue_recompute, model_states, vocab_shards, num_microbatches
             )
-            fwd_probe, bwd_probe = estimator.microbatch_compute_seconds(
-                parallel,
-                sequence,
-                rescue_recompute,
-                passes_per_microbatch=self._passes_per_microbatch(parallel),
-                vocab_shards=vocab_shards,
-                sequence_splits=self._num_slices(parallel),
+            fwd_probe, bwd_probe = self._compute_seconds(
+                estimator, workload, parallel, rescue_recompute
             )
             per_slice_compute = (fwd_probe + bwd_probe) / self._passes_per_microbatch(parallel)
             rescued = self._memory_rescue(
@@ -260,10 +257,30 @@ class _PipelineSystem(TrainingSystem):
         every other rung only adds a non-negative recompute term to the
         backward time, and offloading only adds its exposed seconds, so by
         monotone IEEE rounding ``evaluate(...).mfu <= mfu_bound(...)``
-        exactly.  Model states alone above the usable memory fail every
-        rung (each adds non-negative activations and logits) and the
-        offload rescue (its activation budget is ``usable - model_states -
-        logits <= 0``).
+        exactly.
+        """
+        ranked = self.ranking_bound(model, cluster, workload, parallel)
+        return None if ranked is None else ranked[1]()
+
+    def ranking_bound(
+        self,
+        model: ModelConfig,
+        cluster: ClusterTopology,
+        workload: WorkloadConfig,
+        parallel: ParallelConfig,
+    ) -> Optional[Tuple[float, Callable[[], float]]]:
+        """The MFU of ``m * (forward + backward)`` at no recomputation, and the exact bound.
+
+        ``None`` when ``validate_against_model`` or ``num_microbatches``
+        raises (``evaluate`` reports ``oom`` then), or when model states
+        alone exceed the usable memory: every ladder rung's total adds
+        non-negative activations and logits to them, and the offload
+        rescue's budget ``usable - model_states - logits`` is then
+        negative.  Otherwise the iteration time leaves out the
+        communication, the bubble division and the DP sync of
+        :meth:`_timing`, all non-negative, so by monotone IEEE rounding the
+        bound is never below :meth:`mfu_bound`, which the returned step
+        computes without repeating these checks.
         """
         try:
             parallel.validate_against_model(model)
@@ -274,9 +291,52 @@ class _PipelineSystem(TrainingSystem):
         model_states = estimator.model_state_bytes(parallel, vocab_parallel=self.vocab_parallel)
         if model_states > estimator.usable_memory_bytes():
             return None
+        forward, backward = self._compute_seconds(
+            estimator, workload, parallel, RecomputeMode.NONE
+        )
+        bound = self._mfu(estimator, workload, num_microbatches * (forward + backward))
+        refine = functools.partial(
+            self._exact_bound, estimator, workload, parallel, num_microbatches
+        )
+        return bound, refine
+
+    def _exact_bound(
+        self,
+        estimator: AnalyticEstimator,
+        workload: WorkloadConfig,
+        parallel: ParallelConfig,
+        num_microbatches: int,
+    ) -> float:
         return self._timing(
             estimator, workload, parallel, num_microbatches, RecomputeMode.NONE
         ).mfu
+
+    def _compute_seconds(
+        self,
+        estimator: AnalyticEstimator,
+        workload: WorkloadConfig,
+        parallel: ParallelConfig,
+        recompute: RecomputeMode,
+    ) -> Tuple[float, float]:
+        """(forward, backward) seconds of one microbatch on one pipeline device."""
+        return estimator.microbatch_compute_seconds(
+            parallel,
+            workload.microbatch_tokens(),
+            recompute,
+            passes_per_microbatch=self._passes_per_microbatch(parallel),
+            vocab_shards=self._vocab_shards(parallel),
+            sequence_splits=self._num_slices(parallel),
+        )
+
+    @staticmethod
+    def _mfu(
+        estimator: AnalyticEstimator, workload: WorkloadConfig, iteration_time: float
+    ) -> float:
+        flops = estimator.model_flops_per_iteration(
+            workload.sequence_length, workload.global_batch_sequences
+        )
+        cluster = estimator.cluster
+        return flops / (iteration_time * cluster.total_gpus * cluster.gpu.peak_flops)
 
     def _timing(
         self,
@@ -290,14 +350,7 @@ class _PipelineSystem(TrainingSystem):
         """Iteration time and MFU: compute + comm per microbatch, bubbles, DP sync."""
         sequence = workload.microbatch_tokens()
         passes = self._passes_per_microbatch(parallel)
-        forward, backward = estimator.microbatch_compute_seconds(
-            parallel,
-            sequence,
-            recompute,
-            passes_per_microbatch=passes,
-            vocab_shards=self._vocab_shards(parallel),
-            sequence_splits=self._num_slices(parallel),
-        )
+        forward, backward = self._compute_seconds(estimator, workload, parallel, recompute)
         comm = (
             estimator.tp_comm_seconds_per_microbatch(parallel, sequence)
             + estimator.cp_comm_seconds_per_microbatch(parallel, sequence)
@@ -312,12 +365,7 @@ class _PipelineSystem(TrainingSystem):
         iteration_time = busy / max(1e-9, 1.0 - bubble)
         iteration_time += estimator.dp_sync_seconds(parallel)
         iteration_time += offload_overhead
-
-        flops = estimator.model_flops_per_iteration(
-            workload.sequence_length, workload.global_batch_sequences
-        )
-        cluster = estimator.cluster
-        mfu = flops / (iteration_time * cluster.total_gpus * cluster.gpu.peak_flops)
+        mfu = self._mfu(estimator, workload, iteration_time)
         return _Timing(forward, backward, comm, attention_share, bubble, iteration_time, mfu)
 
     # ------------------------------------------------------------------

@@ -9,6 +9,11 @@ the exhaustive one only if, for every candidate,
   tolerance: the bound is the same timing formula at the cheapest recompute
   rung and without offload overhead.
 
+The search queues candidates under the cheaper ``ranking_bound`` first, so
+that bound must be ``None`` exactly when ``mfu_bound`` is, never below it,
+and its refinement step must return ``mfu_bound`` itself.  A last test pins
+how many exact bounds the benchmark's planning points compute.
+
 The example budget is small in the tier-1 suite; set
 ``REPRO_BOUND_EXAMPLES`` (e.g. 200) for a deeper run.
 """
@@ -20,11 +25,12 @@ from hypothesis import strategies as st
 
 from repro.constants import tokens_from_k
 from repro.hardware.topology import hopper_cluster
-from repro.model.config import MODEL_REGISTRY
+from repro.model.config import LLAMA_70B, MIXTRAL_8X7B, MODEL_REGISTRY
 from repro.model.memory import RecomputeMode
 from repro.parallel.config import WorkloadConfig
 from repro.schedules.formulas import SCHEME_FORMULAS
 from repro.systems import MegatronSystem, SchemeSystem, SlimPipeSystem
+from repro.systems.pipeline_systems import _PipelineSystem
 
 _EXAMPLES = int(os.environ.get("REPRO_BOUND_EXAMPLES", "10"))
 
@@ -68,3 +74,35 @@ def test_bound_is_sound_on_every_candidate(model_name, gpus, context_k, variant)
             assert not estimate.feasible, parallel
         elif estimate.feasible:
             assert estimate.mfu <= bound, (parallel, estimate.mfu, bound)
+        ranked = system.ranking_bound(model, cluster, workload, parallel)
+        assert (ranked is None) == (bound is None), parallel
+        if ranked is not None:
+            cheap, refine = ranked
+            assert cheap >= bound, (parallel, cheap, bound)
+            assert refine() == bound, parallel
+
+
+def test_train_plan_searches_compute_few_exact_bounds(monkeypatch):
+    """The cheap bound spares most exact ones on the benchmark's planning points.
+
+    Llama-70B and Mixtral-8x7B at 64K-512K on 128 GPUs, SlimPipe and
+    Megatron-LM: 19,513 exact bounds without the cheap ranking, 7,011 with it.
+    """
+    exact = _PipelineSystem._exact_bound
+    calls = []
+
+    def counting(self, *args):
+        calls.append(args)
+        return exact(self, *args)
+
+    monkeypatch.setattr(_PipelineSystem, "_exact_bound", counting)
+    cluster = hopper_cluster(128)
+    for model in (LLAMA_70B, MIXTRAL_8X7B):
+        for context_k in (64, 128, 256, 512):
+            sequence = tokens_from_k(context_k)
+            workload = WorkloadConfig(
+                sequence_length=sequence, tokens_per_iteration=max(4 * 1024 * 1024, sequence)
+            )
+            for system in (SlimPipeSystem(), MegatronSystem()):
+                system.best_configuration(model, cluster, workload)
+    assert 0 < len(calls) <= 7_100
