@@ -102,10 +102,6 @@ class ExchangePlan:
         return len(self.original)
 
     @property
-    def total_workload(self) -> float:
-        return sum(self.original)
-
-    @property
     def max_imbalance_before(self) -> float:
         if not self.original:
             return 0.0

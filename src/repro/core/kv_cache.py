@@ -129,13 +129,6 @@ class ChunkedKVCache:
         self._live[new_key] = chunk
         return chunk
 
-    def release_matching(self, predicate) -> int:
-        """Release every live chunk whose key satisfies ``predicate``."""
-        keys = [key for key in self._live if predicate(key)]
-        for key in keys:
-            self.release(key)
-        return len(keys)
-
     # ------------------------------------------------------------------
     @property
     def live_chunks(self) -> int:
@@ -149,9 +142,6 @@ class ChunkedKVCache:
     def total_chunks(self) -> int:
         """Distinct buffers ever allocated — constant in the steady phase."""
         return self._next_id
-
-    def live_keys(self) -> List[Hashable]:
-        return list(self._live)
 
     def stats(self) -> KVCacheStats:
         return KVCacheStats(

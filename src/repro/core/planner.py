@@ -18,13 +18,12 @@ from ..hardware.gpu import GPUSpec
 from ..hardware.topology import ClusterTopology
 from ..model.config import ModelConfig
 from ..model.costs import CostModel
-from ..model.flops import model_flops_per_iteration
 from ..model.memory import RecomputeMode
 from ..parallel.config import ParallelConfig, WorkloadConfig
 from ..schedules.base import PipelineSchedule
 from ..sim.engine import SimulationEngine
 from ..sim.memory_tracker import DeviceMemoryProfile, MemoryTracker
-from ..sim.metrics import IterationMetrics, mfu
+from ..sim.metrics import IterationMetrics, iteration_metrics
 from ..sim.providers import (
     ModelActivationAccountant,
     ModelCostProvider,
@@ -75,9 +74,6 @@ class SlimPipeExecution:
     @property
     def peak_memory_bytes(self) -> float:
         return self.metrics.peak_memory_bytes
-
-    def peak_memory_per_device(self) -> List[float]:
-        return [p.peak_bytes for p in self.memory_profiles]
 
 
 class SlimPipePlanner:
@@ -173,7 +169,19 @@ class SlimPipePlanner:
             exposed = offload_decision.exposed_seconds_per_slice * schedule.total_passes()
             iteration_time += exposed
 
-        metrics = self._metrics(iteration_time, timeline, peak_bytes)
+        parallel = self.parallel
+        metrics = iteration_metrics(
+            self.model,
+            self.cluster.gpu,
+            self.workload.sequence_length,
+            self.num_microbatches * self.workload.microbatch_sequences,
+            parallel.tensor_parallel_size
+            * parallel.context_parallel_size
+            * parallel.pipeline_parallel_size,
+            iteration_time,
+            timeline.bubble_fraction(),
+            peak_bytes,
+        )
         return SlimPipeExecution(
             schedule=schedule,
             timeline=timeline,
@@ -181,29 +189,6 @@ class SlimPipePlanner:
             metrics=metrics,
             offload=offload_decision,
             spec=spec,
-        )
-
-    # ------------------------------------------------------------------
-    def _metrics(
-        self, iteration_time: float, timeline: Timeline, peak_bytes: float
-    ) -> IterationMetrics:
-        sequences = self.num_microbatches * self.workload.microbatch_sequences
-        flops = model_flops_per_iteration(
-            self.model, self.workload.sequence_length, sequences
-        )
-        gpus_per_pipeline = (
-            self.parallel.tensor_parallel_size
-            * self.parallel.context_parallel_size
-            * self.parallel.pipeline_parallel_size
-        )
-        return IterationMetrics(
-            iteration_time=iteration_time,
-            model_flops=flops,
-            num_gpus=gpus_per_pipeline,
-            mfu=mfu(flops, iteration_time, gpus_per_pipeline, self.cluster.gpu),
-            tokens_per_iteration=self.workload.sequence_length * sequences,
-            bubble_fraction=timeline.bubble_fraction(),
-            peak_memory_bytes=peak_bytes,
         )
 
     # ------------------------------------------------------------------

@@ -32,7 +32,7 @@ counts, and the memory tracker reproduces the byte counts).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..model.costs import PassKind
 from ..schedules.base import Pass, PipelineSchedule
@@ -171,13 +171,12 @@ def build_slimpipe_schedule(
     num_microbatches: int,
     num_slices: int,
     num_stages_per_device: int = 1,
-    name: Optional[str] = None,
 ) -> PipelineSchedule:
     """Build the SlimPipe slice-level 1F1B schedule.
 
     Parameters mirror the paper's notation (``p``, ``m``, ``n``, ``v``).  The
-    returned schedule validates its own structural invariants and is directly
-    executable by :class:`~repro.sim.engine.SimulationEngine`.
+    schedule is validated when it is constructed and is directly executable
+    by :class:`~repro.sim.engine.SimulationEngine`.
     """
     config = SlimPipeScheduleConfig(
         num_devices=num_devices,
@@ -200,8 +199,8 @@ def build_slimpipe_schedule(
         order += backwards[steady:]
         device_orders.append(order)
 
-    schedule = PipelineSchedule(
-        name=name or ("slimpipe" if config.v == 1 else "slimpipe-interleaved"),
+    return PipelineSchedule(
+        name="slimpipe" if config.v == 1 else "slimpipe-interleaved",
         num_devices=config.p,
         num_stages=config.total_stages,
         num_microbatches=config.m,
@@ -213,5 +212,3 @@ def build_slimpipe_schedule(
             "warmup_units": [warmup_units(config, r) for r in range(config.p)],
         },
     )
-    schedule.validate()
-    return schedule

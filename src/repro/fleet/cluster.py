@@ -25,8 +25,10 @@ failures, slow-window ends, provisioning and recovery) are pushed only by
 other global events or the run's set-up, so the head of their queue bounds
 every replica's future: no replica can be disturbed before it.  Replica
 *completions* — the ends of iterations — wait in the second queue, and the
-loop pops whichever head comes first.  At equal timestamps a global event
-and a completion resolve by insertion order; two completions resolve by
+loop pops whichever head comes first.  Arrivals are pulled from the trace
+one at a time, and the queued arrival goes first at its timestamp.
+Otherwise, at equal timestamps a global event and a completion resolve by
+insertion order; two completions resolve by
 insertion order when a global event was pushed between them and by replica
 id otherwise.  Every policy is deterministic, so a fleet run is a pure
 function of (trace, config, failure plan) — the property the byte-identical
@@ -123,11 +125,12 @@ class FleetConfig:
     prefix_caching: bool = False
     #: Keep every :class:`RequestRecord` in the result (the default,
     #: byte-identical path).  Finished requests always fold into one
-    #: :class:`~repro.serving.metrics.StreamingMetrics`; ``False`` also pulls
-    #: arrivals lazily from the trace iterable (one in flight in the queue at
-    #: a time), drops every record after its fold and switches the fold to
-    #: P² quantile sketches, so a million-request fleet run holds
-    #: O(replicas + batch) state.
+    #: :class:`~repro.serving.metrics.StreamingMetrics`, and arrivals are
+    #: always pulled lazily from the trace (one in flight in the queue at a
+    #: time), so the run itself does not depend on this flag.  ``False``
+    #: drops every record after its fold and switches the fold to P²
+    #: quantile sketches, so a million-request fleet run over a trace
+    #: iterable holds O(replicas + batch) state.
     retain_records: bool = True
     #: Opt-in observability: an :class:`~repro.obs.events.EventRecorder`
     #: threaded into every replica pool and the cluster loop itself.  ``None``
@@ -426,7 +429,7 @@ class FleetEngine:
     # Event plumbing
     # ------------------------------------------------------------------
     def _push(self, time: float, kind: str, payload: object = None) -> None:
-        """Queue a global event; ``_seq`` counts the global pushes so far."""
+        """Queue a global event; ``_seq`` counts the pushes so far (arrivals aside)."""
         self._seq += 1
         heapq.heappush(self._events, (time, self._seq, kind, payload))
 
@@ -685,13 +688,14 @@ class FleetEngine:
     # The run
     # ------------------------------------------------------------------
     def _push_next_arrival(self) -> None:
-        """Pull one request from the streaming trace into the global queue."""
-        stream = self._arrival_stream
-        if stream is None:
-            return
-        request = next(stream, None)
+        """Pull the next request from the trace into the global queue.
+
+        The arrival carries sequence number 0 and is not counted in
+        ``_seq``: it is the only arrival queued, and it goes before every
+        global event and completion at its timestamp.
+        """
+        request = next(self._arrival_stream, None)
         if request is None:
-            self._arrival_stream = None
             # Exhausted: the run completes when every pushed arrival finishes.
             self._num_requests = self._pushed_arrivals
             return
@@ -706,16 +710,23 @@ class FleetEngine:
         if self._pushed_arrivals == 0:
             self._first_arrival = arrival
         self._pushed_arrivals += 1
-        self._push(arrival, _ARRIVAL, request)
+        heapq.heappush(self._events, (arrival, 0, _ARRIVAL, request))
 
     def run(self, trace: Iterable[Request], slo: Optional[SLO] = None) -> FleetResult:
         slo = slo or SLO()
         cfg = self.config
-        streaming = not cfg.retain_records
-        if not streaming and not isinstance(trace, Sequence):
+        retain = cfg.retain_records
+        if retain and not isinstance(trace, Sequence):
             trace = list(trace)
-        if isinstance(trace, Sequence) and not trace:
-            raise ValueError("fleet run needs a non-empty trace")
+        records: Dict[object, RequestRecord] = {}
+        if isinstance(trace, Sequence):
+            # A trace in memory is checked and sorted here; an iterable must
+            # arrive sorted, and skips the duplicate-id check (O(trace) memory).
+            if len({request.request_id for request in trace}) != len(trace):
+                raise ValueError("trace carries duplicate request ids")
+            if retain:
+                records = {request.request_id: RequestRecord(request) for request in trace}
+            trace = sorted(trace, key=lambda r: (r.arrival_time, r.request_id))
 
         self._events: List[tuple] = []
         self._completions: List[tuple] = []
@@ -737,7 +748,7 @@ class FleetEngine:
         self._metrics: StreamingMetrics = _metrics_fold(
             slo, cfg.tenancy, cfg.retain_records
         )
-        self._arrival_stream: Optional[Iterator[Request]] = None
+        self._arrival_stream: Iterator[Request] = iter(trace)
         self._pushed_arrivals = 0
         self._last_arrival = float("-inf")
         self._first_arrival = 0.0
@@ -745,28 +756,14 @@ class FleetEngine:
         for _ in range(cfg.initial_replicas):
             self._new_replica(0.0, 0.0)
 
-        if streaming:
-            # Lazy arrivals: exactly one future arrival sits in the queue;
-            # popping it pulls the next from the iterator.  Until the
-            # iterator exhausts, the total is unknown — ``inf`` keeps every
-            # "more work coming" condition true; exhaustion pins it to the
-            # pushed count.  (The eager path's global duplicate-id check is
-            # skipped here: it would need O(trace) memory.)
-            records: Dict[object, RequestRecord] = {}
-            self._num_requests = float("inf")
-            self._arrival_stream = iter(trace)
-            self._push_next_arrival()
-            if self._pushed_arrivals == 0:
-                raise ValueError("fleet run needs a non-empty trace")
-        else:
-            records = {request.request_id: RequestRecord(request) for request in trace}
-            if len(records) != len(trace):
-                raise ValueError("trace carries duplicate request ids")
-            self._num_requests = len(trace)
-            ordered = sorted(trace, key=lambda r: (r.arrival_time, r.request_id))
-            self._first_arrival = ordered[0].arrival_time
-            for request in ordered:
-                self._push(request.arrival_time, _ARRIVAL, request)
+        # Lazy arrivals: exactly one future arrival sits in the queue;
+        # popping it pulls the next from the trace.  Until the trace
+        # exhausts, the total is unknown — ``inf`` keeps every "more work
+        # coming" condition true; exhaustion pins it to the pushed count.
+        self._num_requests = float("inf")
+        self._push_next_arrival()
+        if self._pushed_arrivals == 0:
+            raise ValueError("fleet run needs a non-empty trace")
         for event in self.failure_plan.events:
             self._push(event.time, _FAIL, event)
         if cfg.autoscaler.policy != "none":
@@ -804,11 +801,8 @@ class FleetEngine:
                         now, obs_events.ARRIVE, obs_events.CLUSTER_TRACK,
                         payload.request_id,
                     )
-                if streaming:
-                    record = RequestRecord(payload)
-                    self._push_next_arrival()
-                else:
-                    record = records[payload.request_id]
+                record = records[payload.request_id] if retain else RequestRecord(payload)
+                self._push_next_arrival()
                 self._route(RequestState(record=record), now)
             elif kind == _PROVISION:
                 replica = self._replicas[payload]

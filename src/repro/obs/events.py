@@ -33,7 +33,7 @@ Design constraints, in order:
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from .profile import PhaseProfiler
 
@@ -238,7 +238,3 @@ class EventRecorder:
                 handle.write("\n")
         return path
 
-
-def iteration_samples(events: Iterable[Event]) -> List[Event]:
-    """The ``ITERATION`` events of a stream (helper for exporters)."""
-    return [event for event in events if event.kind == ITERATION]

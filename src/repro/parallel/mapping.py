@@ -83,15 +83,6 @@ class RankMapper:
             for tensor_rank in range(self.parallel.tensor_parallel_size)
         ]
 
-    def context_group(self, tensor_rank: int = 0, data_rank: int = 0, pipeline_rank: int = 0) -> List[int]:
-        """Global ranks forming one context-parallel group."""
-        return [
-            self.global_rank_of(
-                RankCoordinates(tensor_rank, context_rank, data_rank, pipeline_rank)
-            )
-            for context_rank in range(self.parallel.context_parallel_size)
-        ]
-
     def data_group(self, tensor_rank: int = 0, context_rank: int = 0, pipeline_rank: int = 0) -> List[int]:
         """Global ranks forming one data-parallel group."""
         return [

@@ -14,9 +14,7 @@ from .base import Pass, PipelineSchedule
 __all__ = ["build_gpipe_schedule"]
 
 
-def build_gpipe_schedule(
-    num_devices: int, num_microbatches: int, name: str = "gpipe"
-) -> PipelineSchedule:
+def build_gpipe_schedule(num_devices: int, num_microbatches: int) -> PipelineSchedule:
     """Build a GPipe schedule for ``num_devices`` stages and ``num_microbatches``."""
     if num_devices < 1 or num_microbatches < 1:
         raise ValueError("num_devices and num_microbatches must be >= 1")
@@ -31,13 +29,11 @@ def build_gpipe_schedule(
             for mb in reversed(range(num_microbatches))
         ]
         device_orders.append(order)
-    schedule = PipelineSchedule(
-        name=name,
+    return PipelineSchedule(
+        name="gpipe",
         num_devices=num_devices,
         num_stages=num_devices,
         num_microbatches=num_microbatches,
         num_slices=1,
         device_orders=device_orders,
     )
-    schedule.validate()
-    return schedule

@@ -41,10 +41,7 @@ def _unit_to_pass(
 
 
 def build_interleaved_1f1b_schedule(
-    num_devices: int,
-    num_microbatches: int,
-    num_chunks: int,
-    name: str = "interleaved-1f1b",
+    num_devices: int, num_microbatches: int, num_chunks: int
 ) -> PipelineSchedule:
     """Build the interleaved 1F1B schedule with ``num_chunks`` stages per device."""
     p, m, v = num_devices, num_microbatches, num_chunks
@@ -77,8 +74,8 @@ def build_interleaved_1f1b_schedule(
             order.append(_unit_to_pass(backward_unit, rank, p, v, forward=False))
             backward_unit += 1
         device_orders.append(order)
-    schedule = PipelineSchedule(
-        name=name,
+    return PipelineSchedule(
+        name="interleaved-1f1b",
         num_devices=p,
         num_stages=p * v,
         num_microbatches=m,
@@ -86,5 +83,3 @@ def build_interleaved_1f1b_schedule(
         device_orders=device_orders,
         metadata={"num_chunks": v},
     )
-    schedule.validate()
-    return schedule

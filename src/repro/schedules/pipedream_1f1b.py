@@ -15,9 +15,7 @@ from .base import Pass, PipelineSchedule
 __all__ = ["build_1f1b_schedule"]
 
 
-def build_1f1b_schedule(
-    num_devices: int, num_microbatches: int, name: str = "1f1b"
-) -> PipelineSchedule:
+def build_1f1b_schedule(num_devices: int, num_microbatches: int) -> PipelineSchedule:
     """Build the default (non-interleaved) 1F1B schedule."""
     if num_devices < 1 or num_microbatches < 1:
         raise ValueError("num_devices and num_microbatches must be >= 1")
@@ -41,13 +39,11 @@ def build_1f1b_schedule(
             order.append(Pass(PassKind.BACKWARD, backward_mb, rank, rank))
             backward_mb += 1
         device_orders.append(order)
-    schedule = PipelineSchedule(
-        name=name,
+    return PipelineSchedule(
+        name="1f1b",
         num_devices=p,
         num_stages=p,
         num_microbatches=m,
         num_slices=1,
         device_orders=device_orders,
     )
-    schedule.validate()
-    return schedule

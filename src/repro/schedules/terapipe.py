@@ -9,8 +9,6 @@ memory limitation the paper contrasts SlimPipe against.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from ..model.costs import PassKind
 from .base import Pass, PipelineSchedule
 
@@ -18,10 +16,7 @@ __all__ = ["build_terapipe_schedule"]
 
 
 def build_terapipe_schedule(
-    num_devices: int,
-    num_microbatches: int,
-    num_slices: int,
-    name: str = "terapipe",
+    num_devices: int, num_microbatches: int, num_slices: int
 ) -> PipelineSchedule:
     """Build a TeraPipe schedule with ``num_slices`` slices per microbatch."""
     p, m, n = num_devices, num_microbatches, num_slices
@@ -40,13 +35,11 @@ def build_terapipe_schedule(
             for sl in reversed(range(n))
         ]
         device_orders.append(order)
-    schedule = PipelineSchedule(
-        name=name,
+    return PipelineSchedule(
+        name="terapipe",
         num_devices=p,
         num_stages=p,
         num_microbatches=m,
         num_slices=n,
         device_orders=device_orders,
     )
-    schedule.validate()
-    return schedule

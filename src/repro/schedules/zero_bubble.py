@@ -59,8 +59,6 @@ def build_zero_bubble_v_schedule(
     num_microbatches: int,
     duration_fn: Optional[DurationFn] = None,
     half_memory: bool = False,
-    memory_limit_units: Optional[int] = None,
-    name: Optional[str] = None,
 ) -> PipelineSchedule:
     """Build a ZB-V (or, with ``half_memory``, a V-Half) schedule.
 
@@ -73,17 +71,12 @@ def build_zero_bubble_v_schedule(
     half_memory:
         Build the V-Half variant, capping in-flight activations at half of
         ZB-V's budget.
-    memory_limit_units:
-        Override the per-device cap on in-flight stage activations.
     """
     p, m = num_devices, num_microbatches
     if p < 1 or m < 1:
         raise ValueError("num_devices and num_microbatches must be >= 1")
     duration_fn = duration_fn or _uniform_duration
-    if memory_limit_units is None:
-        memory_limit_units = p if half_memory else 2 * p
-    memory_limit_units = max(2, memory_limit_units)
-    schedule_name = name or ("v-half" if half_memory else "zb-v")
+    memory_limit_units = max(2, p if half_memory else 2 * p)
 
     num_stages = 2 * p
     stage_device = {
@@ -159,7 +152,7 @@ def build_zero_bubble_v_schedule(
         if best is None:
             raise ScheduleValidationError(
                 f"greedy zero-bubble scheduler deadlocked with {total - scheduled} "
-                "passes remaining; consider raising memory_limit_units"
+                f"passes remaining under an in-flight cap of {memory_limit_units}"
             )
         ready, _, _, _, device, index = best
         work, priority, _ = pending[device].pop(index)
@@ -174,8 +167,8 @@ def build_zero_bubble_v_schedule(
             in_flight[device] -= 1
         scheduled += 1
 
-    schedule = PipelineSchedule(
-        name=schedule_name,
+    return PipelineSchedule(
+        name="v-half" if half_memory else "zb-v",
         num_devices=p,
         num_stages=num_stages,
         num_microbatches=m,
@@ -187,5 +180,3 @@ def build_zero_bubble_v_schedule(
             "half_memory": half_memory,
         },
     )
-    schedule.validate()
-    return schedule

@@ -9,7 +9,8 @@ are computed.
 
 The engine runs on the schedule's compiled form
 (:meth:`~repro.schedules.base.PipelineSchedule.compiled`): integer pass ids
-with their dependency ids resolved once.  It prices every pass's duration
+with their dependency ids, resolved once when the (immutable) schedule was
+constructed and validated, so every dependency exists.  It prices every pass's duration
 and every cross-device edge's transfer delay once, up front, and keeps a
 flat list of finish times by id.  Devices are visited round robin (device 0
 to ``p - 1``, each advancing as far as its dependencies allow), and spans
@@ -19,10 +20,9 @@ over ``Pass`` objects as the oracle and requires the same spans, bit for bit
 and in the same order.
 
 The engine is deliberately conservative: if the schedule can never make
-progress (a dependency appears *behind* a blocked pass, or is missing), it
-raises :class:`DeadlockError` rather than silently reordering work — this
-doubles as an executability check for every schedule builder in the test
-suite.
+progress (a dependency appears *behind* a blocked pass), it raises
+:class:`DeadlockError` rather than silently reordering work — this doubles
+as an executability check for every schedule builder in the test suite.
 """
 
 from __future__ import annotations
@@ -100,26 +100,23 @@ class SimulationEngine:
     def run(self) -> Timeline:
         compiled = self.schedule.compiled()
         passes = compiled.passes
-        missing = compiled.missing
         duration, comm_delay = self.costs.duration, self.costs.comm_delay
         durations = [duration(work) for work in passes]
         # Transfer delays aligned with ``dependencies``.  A dependency on the
-        # same device has no transfer; a missing one never finishes, so its
-        # pass blocks as on unfinished work.  Equal tuples are shared, so the
-        # delays add almost no memory.
+        # same device has no transfer.  Equal tuples are shared, so the delays
+        # add almost no memory.
         dependencies = compiled.dependencies
         delays = []
         shared: Dict[Tuple[float, ...], Tuple[float, ...]] = {}
         for work, deps in zip(passes, dependencies):
             device = work.device
             pass_delays = tuple([
-                0.0 if dep == missing or passes[dep].device == device
-                else comm_delay(passes[dep], work)
+                0.0 if passes[dep].device == device else comm_delay(passes[dep], work)
                 for dep in deps
             ])
             delays.append(shared.setdefault(pass_delays, pass_delays))
-        # Finish time by id; the ``missing`` slot never gets one.
-        finish: List[Optional[float]] = [None] * (missing + 1)
+        # Finish time by id, ``None`` until the pass has run.
+        finish: List[Optional[float]] = [None] * len(passes)
 
         num_devices = self.schedule.num_devices
         device_ends = compiled.device_ends

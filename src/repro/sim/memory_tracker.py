@@ -1,11 +1,13 @@
 """Per-device activation memory tracking along a schedule.
 
-The tracker replays each device's pass list in order and maintains the bytes
-of live activation state: a forward pass *stores* bytes that stay resident
-until the pass that completes that work item's backward *releases* them, and
-any pass may additionally require *transient* working memory while it runs
-(e.g. the recomputed activations of a fully-checkpointed layer block, or the
-fp32 logits of the loss).  The resulting per-device peaks reproduce the
+The tracker replays each device's pass list in order, over the schedule's
+compiled ids, and maintains the bytes of live activation state: a forward
+pass *stores* bytes that stay resident until the pass that completes that
+work item's backward *releases* them (found by id: a backward's first
+dependency is its forward, a weight-gradient pass's is its input-gradient
+pass), and any pass may additionally require *transient* working memory
+while it runs (e.g. the recomputed activations of a fully-checkpointed layer
+block, or the fp32 logits of the loss).  The resulting per-device peaks reproduce the
 memory curves of Figures 1, 10 and 14 when fed the system accountants from
 :mod:`repro.systems`.
 """
@@ -13,7 +15,7 @@ memory curves of Figures 1, 10 and 14 when fed the system accountants from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Protocol, Tuple
+from typing import List, Protocol
 
 from ..model.costs import PassKind
 from ..schedules.base import Pass, PipelineSchedule
@@ -76,31 +78,33 @@ class MemoryTracker:
         self.schedule = schedule
         self.accountant = accountant
 
-    def _release_kind(self) -> PassKind:
-        return (
-            PassKind.BACKWARD_WEIGHT
-            if self.schedule.splits_backward
-            else PassKind.BACKWARD
-        )
-
     def profile(self) -> List[DeviceMemoryProfile]:
-        release_kind = self._release_kind()
+        compiled = self.schedule.compiled()
+        passes, dependencies = compiled.passes, compiled.dependencies
+        split = self.schedule.splits_backward
+        release_kind = PassKind.BACKWARD_WEIGHT if split else PassKind.BACKWARD
+        accountant = self.accountant
+        stored = [0.0] * len(passes)  # bytes stored by each forward, by id
         profiles: List[DeviceMemoryProfile] = []
-        for device, order in enumerate(self.schedule.device_orders):
-            base = self.accountant.base_bytes(device)
+        first = 0
+        for device, end in enumerate(compiled.device_ends):
+            base = accountant.base_bytes(device)
             live = 0.0
             peak = 0.0
-            stored: Dict[Tuple, float] = {}
-            for work in order:
-                transient = self.accountant.transient_bytes(work)
+            for i in range(first, end):
+                work = passes[i]
+                transient = accountant.transient_bytes(work)
                 peak = max(peak, live + transient)
                 if work.kind is PassKind.FORWARD:
-                    bytes_stored = self.accountant.stored_bytes(work)
-                    stored[work.work_key] = bytes_stored
+                    bytes_stored = stored[i] = accountant.stored_bytes(work)
                     live += bytes_stored
                     peak = max(peak, live + transient)
                 elif work.kind is release_kind:
-                    live -= stored.pop(work.work_key, 0.0)
+                    forward = dependencies[i][0]
+                    if split:
+                        forward = dependencies[forward][0]
+                    live -= stored[forward]
+            first = end
             profiles.append(
                 DeviceMemoryProfile(
                     device=device,

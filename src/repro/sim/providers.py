@@ -148,9 +148,6 @@ class PipelineModelSpec:
             return self._whole_sequence
         return self._slices[work.slice_index]
 
-    def is_first_stage(self, work: Pass) -> bool:
-        return work.stage == 0
-
     def is_last_stage(self, work: Pass) -> bool:
         return work.stage == self.num_stages - 1
 
@@ -341,12 +338,10 @@ class ModelActivationAccountant:
         spec: PipelineModelSpec,
         cluster: ClusterTopology,
         include_model_states: bool = True,
-        keep_kv_cache: bool = True,
     ):
         self.spec = spec
         self.cluster = cluster
         self.include_model_states = include_model_states
-        self.keep_kv_cache = keep_kv_cache
         self._stored: Dict[Tuple[Optional[int], bool], float] = {}
         self._transient: Dict[Tuple[PassKind, Optional[int]], float] = {}
 
@@ -383,11 +378,7 @@ class ModelActivationAccountant:
         sl = spec.slice_of(work)
         per_layer = self._per_token_layer_bytes()
         stored = per_layer * spec.layers_per_stage * sl.length
-        if (
-            self.keep_kv_cache
-            and spec.recompute is RecomputeMode.FULL
-            and work.slice_index is not None
-        ):
+        if spec.recompute is RecomputeMode.FULL and work.slice_index is not None:
             # Under full recomputation the saved activations no longer include
             # keys/values, but SlimPipe keeps the KV cache alive for later
             # slices (Section 4.1.2), so account it separately.

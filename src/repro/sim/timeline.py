@@ -69,9 +69,6 @@ class Timeline:
         )
         return sum(s.duration for s in spans)
 
-    def device_busy_times(self) -> List[float]:
-        return [self.busy_time(d) for d in range(self.num_devices)]
-
     def bubble_fraction(self) -> float:
         """Fraction of total device-time spent idle.
 
@@ -83,10 +80,6 @@ class Timeline:
             return 0.0
         total = self.num_devices * makespan
         return max(0.0, 1.0 - self.busy_time() / total)
-
-    def bubble_time(self, device: int) -> float:
-        """Idle time of one device within the iteration window."""
-        return self.makespan - self.busy_time(device)
 
     def device_utilizations(self) -> List[float]:
         makespan = self.makespan

@@ -29,9 +29,11 @@ def perfbench_modules(monkeypatch):
 
 def test_install_and_uninstall_every_traced_entry_point(perfbench_modules):
     layers, tracer = perfbench_modules
+    from repro.core import planner, schedule
     from repro.fleet import cluster
     from repro.serving import engine, metrics
-    from repro.sim import providers
+    from repro.sim import engine as sim_engine
+    from repro.sim import memory_tracker, providers
     from repro.systems import pipeline_systems
 
     wrapped = {
@@ -47,9 +49,15 @@ def test_install_and_uninstall_every_traced_entry_point(perfbench_modules):
         (providers.ModelCostProvider, "comm_delay"),
         (providers.ModelActivationAccountant, "stored_bytes"),
         (pipeline_systems._PipelineSystem, "evaluate"),
+        (planner.SlimPipePlanner, "run"),
+        (sim_engine.SimulationEngine, "run"),
+        (memory_tracker.MemoryTracker, "profile"),
     }
     originals = {(owner, name): owner.__dict__[name] for owner, name in wrapped}
     compute_metrics = metrics.compute_metrics
+    # Functions are wrapped under every module binding, the planner's too.
+    build_slimpipe_schedule = schedule.build_slimpipe_schedule
+    assert planner.build_slimpipe_schedule is build_slimpipe_schedule
 
     traced = tracer.Tracer()
     try:
@@ -57,12 +65,16 @@ def test_install_and_uninstall_every_traced_entry_point(perfbench_modules):
         for owner, name in wrapped:
             assert owner.__dict__[name] is not originals[(owner, name)], name
         assert metrics.compute_metrics is not compute_metrics
+        assert schedule.build_slimpipe_schedule is not build_slimpipe_schedule
+        assert planner.build_slimpipe_schedule is not build_slimpipe_schedule
     finally:
         traced.uninstall()
 
     for owner, name in wrapped:
         assert owner.__dict__[name] is originals[(owner, name)], name
     assert metrics.compute_metrics is compute_metrics
+    assert schedule.build_slimpipe_schedule is build_slimpipe_schedule
+    assert planner.build_slimpipe_schedule is build_slimpipe_schedule
 
 
 def test_both_fleet_queues_pop_through_the_counted_heapq(perfbench_modules):

@@ -1,5 +1,7 @@
 """Structural tests for the baseline pipeline schedules."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -195,37 +197,69 @@ def test_registry_unknown_name():
 # ---------------------------------------------------------------------------
 # Schedule validation catches corrupted schedules
 # ---------------------------------------------------------------------------
+def _with_order(schedule, device, order):
+    """``schedule`` with one device's pass list replaced, through the constructor."""
+    orders = list(schedule.device_orders)
+    orders[device] = tuple(order)
+    return dataclasses.replace(schedule, device_orders=orders)
+
+
 def test_validation_rejects_duplicate_and_missing_passes():
     sched = build_1f1b_schedule(2, 2)
-    sched.device_orders[0].append(sched.device_orders[0][0])
-    with pytest.raises(ScheduleValidationError, match="duplicate"):
-        sched.validate()
-    sched = build_1f1b_schedule(2, 2)
-    sched.device_orders[1] = sched.device_orders[1][:-1]
-    with pytest.raises(ScheduleValidationError, match="missing"):
-        sched.validate()
+    order = sched.device_orders[0]
+    with pytest.raises(ScheduleValidationError) as raised:
+        _with_order(sched, 0, order + order[:1])
+    assert str(raised.value) == "duplicate pass F[mb0,s0]@dev0"
+    with pytest.raises(ScheduleValidationError) as raised:
+        _with_order(sched, 1, sched.device_orders[1][:-1])
+    assert str(raised.value) == "missing B for (1, 1, None)"
 
 
 def test_validation_rejects_backward_before_forward():
     sched = build_1f1b_schedule(2, 2)
     order = sched.device_orders[1]
-    order.insert(0, order.pop())  # move last backward to the front
-    with pytest.raises(ScheduleValidationError, match="before its forward"):
-        sched.validate()
+    with pytest.raises(ScheduleValidationError) as raised:
+        _with_order(sched, 1, order[-1:] + order[:-1])  # last backward to the front
+    assert str(raised.value) == "B[mb1,s1]@dev1 scheduled before its forward on device 1"
 
 
 def test_validation_rejects_wrong_device_list():
     sched = build_1f1b_schedule(2, 2)
-    sched.device_orders[0][0] = Pass(PassKind.FORWARD, 0, 1, 1)
-    with pytest.raises(ScheduleValidationError):
-        sched.validate()
+    order = (Pass(PassKind.FORWARD, 0, 1, 1),) + sched.device_orders[0][1:]
+    with pytest.raises(ScheduleValidationError) as raised:
+        _with_order(sched, 0, order)
+    assert str(raised.value) == "pass F[mb0,s1]@dev1 stored in device 0's list"
 
 
 def test_stage_to_device_conflict_detection():
     sched = build_1f1b_schedule(2, 2)
-    sched.device_orders[1].append(Pass(PassKind.FORWARD, 1, 0, 1))
-    with pytest.raises(ScheduleValidationError, match="devices"):
-        sched.stage_to_device()
+    # A stray copy of a stage-0 forward is a duplicate first.
+    order = sched.device_orders[1] + (Pass(PassKind.FORWARD, 1, 0, 1),)
+    with pytest.raises(ScheduleValidationError) as raised:
+        _with_order(sched, 1, order)
+    assert str(raised.value) == "duplicate pass F[mb1,s0]@dev1"
+    # Moving microbatch 1's stage-0 passes to device 1 splits the stage.
+    order0 = sched.device_orders[0]
+    moved = tuple(dataclasses.replace(p, device=1) for p in order0 if p.microbatch == 1)
+    with pytest.raises(ScheduleValidationError) as raised:
+        dataclasses.replace(sched, device_orders=[
+            [p for p in order0 if p.microbatch != 1], sched.device_orders[1] + moved,
+        ])
+    assert str(raised.value) == "stage 0 appears on devices 0 and 1"
+
+
+def test_schedules_are_immutable_and_compiled_once():
+    sched = build_1f1b_schedule(2, 2)
+    with pytest.raises(AttributeError):
+        sched.device_orders[0].append(sched.device_orders[0][0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sched.device_orders = ()
+    assert sched.compiled() is sched.compiled()
+    assert not hasattr(sched.compiled(), "source")
+    assert not hasattr(sched.compiled(), "missing")
+    # Built from lists, stored as tuples, and equal to a rebuilt copy.
+    assert all(isinstance(order, tuple) for order in sched.device_orders)
+    assert dataclasses.replace(sched) == sched
 
 
 # ---------------------------------------------------------------------------

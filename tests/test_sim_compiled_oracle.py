@@ -4,17 +4,20 @@
 integer pass ids, dependency ids resolved once, durations and transfer
 delays priced once, a flat finish-time list.  ``_ReferenceEngine`` below is
 the loop it replaced, kept verbatim as the oracle: it resolves every
-dependency through ``PipelineSchedule.dependencies`` and a dict keyed by
-``(kind, work_key)``.  For every schedule builder and generated costs the
-two must produce the same spans, bit for bit and in the same order (the
-order ``Timeline.busy_time`` sums in), and the same errors.
+dependency through ``_structural_dependencies`` (the ``Pass``-keyed
+dependency rule, stated here independently of the schedule's compiled
+form) and a dict keyed by ``(kind, work_key)``.  For every
+schedule builder and generated costs the two must produce the same spans,
+bit for bit and in the same order (the order ``Timeline.busy_time`` sums
+in), and the same errors.
 
 The example budget is small in the tier-1 suite; set
 ``REPRO_SIM_ORACLE_EXAMPLES`` (e.g. 300) for a deeper run.
 """
 
+import dataclasses
 import os
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -36,22 +39,62 @@ from repro.sim.timeline import Timeline, TimelineSpan
 _EXAMPLES = int(os.environ.get("REPRO_SIM_ORACLE_EXAMPLES", "10"))
 
 
-class _ReferenceEngine:
-    """The round-robin loop over ``Pass`` objects that the compiled engine replaced."""
+def _structural_dependencies(schedule: PipelineSchedule, p: Pass) -> List[Pass]:
+    """Structural prerequisites of pass ``p``, built as ``Pass`` objects."""
+    deps: List[Pass] = []
+    stage_device = schedule.stage_to_device()
+    grad_kind = PassKind.BACKWARD_INPUT if schedule.splits_backward else PassKind.BACKWARD
 
-    def __init__(self, schedule, costs):
+    def make(kind: PassKind, stage: int, slice_index: Optional[int], microbatch: int) -> Pass:
+        return Pass(
+            kind=kind,
+            microbatch=microbatch,
+            stage=stage,
+            device=stage_device[stage],
+            slice_index=slice_index,
+            num_slices=p.num_slices,
+        )
+
+    if p.kind is PassKind.FORWARD:
+        if p.stage > 0:
+            deps.append(make(PassKind.FORWARD, p.stage - 1, p.slice_index, p.microbatch))
+        if p.slice_index is not None and p.slice_index > 0:
+            deps.append(make(PassKind.FORWARD, p.stage, p.slice_index - 1, p.microbatch))
+    elif p.kind in (PassKind.BACKWARD, PassKind.BACKWARD_INPUT):
+        deps.append(make(PassKind.FORWARD, p.stage, p.slice_index, p.microbatch))
+        if p.stage < schedule.num_stages - 1:
+            deps.append(make(grad_kind, p.stage + 1, p.slice_index, p.microbatch))
+        if p.slice_index is not None and p.slice_index < p.num_slices - 1:
+            deps.append(make(grad_kind, p.stage, p.slice_index + 1, p.microbatch))
+    elif p.kind is PassKind.BACKWARD_WEIGHT:
+        deps.append(make(PassKind.BACKWARD_INPUT, p.stage, p.slice_index, p.microbatch))
+    else:  # pragma: no cover - exhaustive enum
+        raise ScheduleValidationError(f"unsupported pass kind {p.kind}")
+    return deps
+
+
+class _ReferenceEngine:
+    """The round-robin loop over ``Pass`` objects that the compiled engine replaced.
+
+    ``device_orders`` (default: the schedule's own) lets it run pass lists
+    the schedule constructor would reject; the dependency rule only reads
+    the schedule's stage map and shape.
+    """
+
+    def __init__(self, schedule, costs, device_orders=None):
         self.schedule = schedule
         self.costs = costs
+        self.device_orders = device_orders or schedule.device_orders
 
     def run(self) -> Timeline:
         schedule = self.schedule
-        orders = schedule.device_orders
+        orders = self.device_orders
         num_devices = schedule.num_devices
         pointers = [0] * num_devices
         device_time = [0.0] * num_devices
         finished: Dict[Tuple, Tuple[float, Pass]] = {}
         timeline = Timeline(num_devices=num_devices)
-        remaining = schedule.total_passes()
+        remaining = sum(map(len, orders))
 
         while remaining > 0:
             progressed = False
@@ -60,7 +103,7 @@ class _ReferenceEngine:
                     work = orders[device][pointers[device]]
                     ready_time = device_time[device]
                     blocked = False
-                    for dep in schedule.dependencies(work):
+                    for dep in _structural_dependencies(schedule, work):
                         key = (dep.kind, dep.work_key)
                         if key not in finished:
                             blocked = True
@@ -203,19 +246,27 @@ def test_compiled_engine_matches_oracle_under_model_costs(
 @settings(**_SETTINGS)
 @given(schedule=schedules, costs=uniform_costs(), data=st.data())
 def test_reordered_device_lists_run_or_deadlock_like_the_oracle(schedule, costs, data):
-    """A device order shuffled after the build is simulated from its current lists."""
-    SimulationEngine(schedule, costs).run()  # caches the compiled form
+    """A schedule built from one shuffled device list runs or deadlocks like the oracle."""
     device = data.draw(st.integers(0, schedule.num_devices - 1))
-    order = schedule.device_orders[device]
-    order[:] = data.draw(st.permutations(order))
+    orders = list(schedule.device_orders)
+    orders[device] = tuple(data.draw(st.permutations(orders[device])))
     try:
-        expected = repr(_spans(_ReferenceEngine(schedule, costs).run()))
+        expected = repr(_spans(_ReferenceEngine(schedule, costs, orders).run()))
     except DeadlockError as error:
+        expected = error
+    try:
+        reordered = dataclasses.replace(schedule, device_orders=orders)
+    except ScheduleValidationError as error:
+        # The only defect a permutation can introduce, and it never runs.
+        assert "scheduled before its forward" in str(error)
+        assert isinstance(expected, DeadlockError)
+        return
+    if isinstance(expected, DeadlockError):
         with pytest.raises(DeadlockError) as raised:
-            SimulationEngine(schedule, costs).run()
-        assert str(raised.value) == str(error)
+            SimulationEngine(reordered, costs).run()
+        assert str(raised.value) == str(expected)
     else:
-        assert repr(_spans(SimulationEngine(schedule, costs).run())) == expected
+        assert repr(_spans(SimulationEngine(reordered, costs).run())) == expected
 
 
 # ----------------------------------------------------------------------------
@@ -231,54 +282,67 @@ def test_compiled_dependencies_map_back_to_structural_dependencies(name, p, m):
     assert list(compiled.passes) == list(schedule.all_passes())
     assert compiled.device_ends[-1] == schedule.total_passes()
     for work, deps in zip(compiled.passes, compiled.dependencies):
-        assert [compiled.passes[dep] for dep in deps] == schedule.dependencies(work)
+        expected = _structural_dependencies(schedule, work)
+        assert [compiled.passes[dep] for dep in deps] == expected
+        assert schedule.dependencies(work) == expected
 
 
 # ----------------------------------------------------------------------------
-# Staleness and error texts
+# Error texts
 # ----------------------------------------------------------------------------
+
+
+def _with_order(schedule: PipelineSchedule, device: int, order) -> PipelineSchedule:
+    """``schedule`` with one device's pass list replaced, through the constructor."""
+    orders = list(schedule.device_orders)
+    orders[device] = tuple(order)
+    return dataclasses.replace(schedule, device_orders=orders)
 
 
 def test_deadlock_error_names_the_blocked_passes():
     schedule = build_1f1b_schedule(2, 2)
-    SimulationEngine(schedule, UniformCostProvider()).run()
-    order = schedule.device_orders[0]
-    backward = next(p for p in order if p.kind is PassKind.BACKWARD)
-    order.remove(backward)
-    order.insert(0, backward)
+    forward, backward = PassKind.FORWARD, PassKind.BACKWARD
+    # Valid pass lists whose orders wait on each other: device 0 wants
+    # mb1's backward before device 1 has run mb0's.
+    deadlocked = dataclasses.replace(schedule, device_orders=[
+        [Pass(forward, 0, 0, 0), Pass(backward, 0, 0, 0),
+         Pass(forward, 1, 0, 0), Pass(backward, 1, 0, 0)],
+        [Pass(forward, 1, 1, 1), Pass(forward, 0, 1, 1),
+         Pass(backward, 0, 1, 1), Pass(backward, 1, 1, 1)],
+    ])
     with pytest.raises(DeadlockError) as raised:
-        SimulationEngine(schedule, UniformCostProvider()).run()
+        SimulationEngine(deadlocked, UniformCostProvider()).run()
     assert str(raised.value) == (
-        "schedule cannot make progress; blocked passes: B[mb0,s0]@dev0, F[mb0,s1]@dev1"
+        "schedule cannot make progress; blocked passes: B[mb0,s0]@dev0, F[mb1,s1]@dev1"
     )
+    # A backward moved ahead of its own forward is rejected when built.
+    order = schedule.device_orders[0]
+    with pytest.raises(ScheduleValidationError) as raised:
+        _with_order(schedule, 0, (order[2],) + order[:2] + order[3:])
+    assert str(raised.value) == "B[mb0,s0]@dev0 scheduled before its forward on device 0"
 
 
 def test_missing_dependency_error_names_both_passes():
     schedule = build_1f1b_schedule(2, 2)
-    schedule.device_orders[0].append(Pass(PassKind.BACKWARD_WEIGHT, 0, 0, 0))
+    order = schedule.device_orders[0] + (Pass(PassKind.BACKWARD_WEIGHT, 0, 0, 0),)
     with pytest.raises(ScheduleValidationError) as raised:
-        schedule.validate()
+        _with_order(schedule, 0, order)
     assert str(raised.value) == "Bw[mb0,s0]@dev0 depends on missing pass Bi[mb0,s0]@dev0"
 
 
-def test_mutated_schedule_is_validated_and_simulated_from_its_current_lists():
+def test_invalid_pass_lists_are_rejected_at_construction():
     schedule = build_schedule("gpipe", 2, 3)
-    costs = UniformCostProvider(forward=1.0, backward=2.0, comm=0.5)
-    before = repr(_spans(SimulationEngine(schedule, costs).run()))
-    # Swapping two independent forwards is still a valid schedule.
-    order = schedule.device_orders[0]
-    order[0], order[1] = order[1], order[0]
-    schedule.validate()
-    after = repr(_spans(SimulationEngine(schedule, costs).run()))
-    assert after != before
-    assert after == repr(_spans(_ReferenceEngine(schedule, costs).run()))
-    # A whole list replaced after validation is caught too.
-    schedule.device_orders[1] = schedule.device_orders[1][:-1]
-    with pytest.raises(ScheduleValidationError, match="missing"):
-        schedule.validate()
-    # So is a stage moved onto a second device, which the stage map reports.
-    schedule = build_schedule("gpipe", 2, 3)
-    schedule.validate()
-    schedule.device_orders[1].append(Pass(PassKind.FORWARD, 0, 0, 1))
-    with pytest.raises(ScheduleValidationError, match="appears on devices 0 and 1"):
-        schedule.stage_to_device()
+    # A pass list cut short misses a backward.
+    with pytest.raises(ScheduleValidationError) as raised:
+        _with_order(schedule, 1, schedule.device_orders[1][:-1])
+    assert str(raised.value) == "missing B for (0, 1, None)"
+    # A stage whose passes sit on two devices is reported by the stage map.
+    order0 = schedule.device_orders[0]
+    moved = [p for p in order0 if p.microbatch == 0]
+    orders = [
+        [p for p in order0 if p.microbatch != 0],
+        list(schedule.device_orders[1]) + [dataclasses.replace(p, device=1) for p in moved],
+    ]
+    with pytest.raises(ScheduleValidationError) as raised:
+        dataclasses.replace(schedule, device_orders=orders)
+    assert str(raised.value) == "stage 0 appears on devices 0 and 1"

@@ -1,5 +1,7 @@
 """Tests for the discrete-event simulation engine and timeline metrics."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,15 +114,17 @@ def test_comm_delay_increases_makespan():
 
 
 def test_deadlock_detection():
-    """A schedule whose device order hides a dependency behind later work deadlocks."""
+    """A schedule whose device orders wait on each other deadlocks."""
     sched = build_1f1b_schedule(2, 2)
-    # Device 1 tries to run its backward for microbatch 1 before the forward
-    # of microbatch 1 has been scheduled anywhere downstream of it.
-    order = sched.device_orders[0]
-    # Move the backward of microbatch 0 (depends on device 1) to the front.
-    backward = next(p for p in order if p.kind is PassKind.BACKWARD)
-    order.remove(backward)
-    order.insert(0, backward)
+    forward, backward = PassKind.FORWARD, PassKind.BACKWARD
+    # Device 1 runs microbatch 1's forward first, which needs device 0's;
+    # device 0 waits for microbatch 0's backward, which device 1 runs later.
+    sched = dataclasses.replace(sched, device_orders=[
+        [Pass(forward, 0, 0, 0), Pass(backward, 0, 0, 0),
+         Pass(forward, 1, 0, 0), Pass(backward, 1, 0, 0)],
+        [Pass(forward, 1, 1, 1), Pass(forward, 0, 1, 1),
+         Pass(backward, 0, 1, 1), Pass(backward, 1, 1, 1)],
+    ])
     with pytest.raises(DeadlockError):
         SimulationEngine(sched, UniformCostProvider()).run()
 

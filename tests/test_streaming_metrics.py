@@ -402,6 +402,31 @@ class TestFleetStreamingEndToEnd:
         assert streamed.records == []
         assert not streamed.retain_records and retained.retain_records
 
+    def test_streaming_matches_when_a_crash_ties_an_arrival(self):
+        # Arrivals every 0.5 s, so request 10 arrives exactly when replica 0
+        # crashes; on both settings the arrival goes first.
+        trace = replay_trace(
+            [(0.5 * i, 256 + 64 * (i % 5), 16 + (i % 9)) for i in range(40)]
+        )
+        plan = FailurePlan(
+            events=(FailureEvent(time=5.0, kind="crash", replica_index=0, duration=4.0),)
+        )
+        results = [
+            FleetEngine(
+                LLAMA_13B,
+                FleetConfig(
+                    gpus_per_replica=1, initial_replicas=2, max_replicas=2,
+                    retain_records=retain_records,
+                ),
+                failure_plan=plan,
+            ).run(trace, SLO())
+            for retain_records in (True, False)
+        ]
+        retained, streamed = results
+        assert retained.fleet.rerouted_requests == streamed.fleet.rerouted_requests == 1
+        assert asdict(retained.fleet) == asdict(streamed.fleet)
+        assert _digest_exact(streamed) == _digest_exact(retained)
+
     def test_streaming_rejects_unsorted_trace(self):
         config = FleetConfig(initial_replicas=1, retain_records=False)
         engine = FleetEngine(LLAMA_13B, config)
